@@ -16,7 +16,7 @@ from . import anchors as anchor_mod
 from . import evaluate as eval_mod
 from . import graph as graph_mod
 from . import imaging, pipeline, weights
-from .config import NetParams, Yolo, load_config, reference_config_path
+from .config import NetParams, load_config, reference_config_path
 
 IMAGE_SUFFIXES = (".ppm", ".png", ".jpg", ".jpeg", ".bmp")
 
@@ -200,22 +200,12 @@ def cmd_info(args) -> int:
 
 def cmd_bench(args) -> int:
     g = _load_graph(args)
-    heads = [l for l in g.layers if isinstance(l.spec, Yolo)]
     image = imaging.to_chw_float(imaging.read_image(args.input))
-    _, net_h, net_w = g.input_shape
-    tensor_in, _ = pipeline.letterbox(image, net_w, net_h)
-
-    def run_once():
-        raw = graph_mod.forward(g, tensor_in)
-        for layer in heads:
-            pipeline.decode_yolo(raw[layer.index], layer.spec.anchors,
-                                 layer.spec.mask, net_w, net_h, layer.spec.classes)
-
-    run_once()  # warmup
+    pipeline.detect(g, image)  # warmup
     samples = []
     for _ in range(args.iters):
         t0 = time.perf_counter()
-        run_once()
+        pipeline.detect(g, image)
         samples.append((time.perf_counter() - t0) * 1000.0)
     mean_ms = statistics.fmean(samples)
     result = {
@@ -294,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("bench", help="time forward+decode on one image")
+    p = sub.add_parser("bench", help="time detect on one image, letterbox to "
+                                     "unletterbox (NMS included)")
     add_common(p, weights_required=True)
     p.add_argument("--input", required=True, help="image file")
     p.add_argument("--iters", type=int, default=10,

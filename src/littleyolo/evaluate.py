@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BBox, iou
+from .boxes import BBox, iou_matrix
 
 INTERPOLATIONS = ("all", "11point")
 
@@ -72,33 +72,37 @@ def match_class(predictions: list[Prediction], ground_truths: list[GroundTruth],
     """Flag one class's predictions as TP (True), FP (False), or ignored (None).
 
     Predictions are processed in confidence-descending order (ties keep input
-    order); flags are returned in that processing order. Also returns the
-    count of non-difficult ground truths (the recall denominator).
+    order); flags are returned in that processing order. Each takes the
+    unmatched ground truth of its image with the highest IoU (the lowest
+    index on ties) and is a hit when that IoU is positive and meets the
+    threshold. Also returns the count of non-difficult ground truths (the
+    recall denominator).
     """
-    order = sorted(range(len(predictions)),
-                   key=lambda i: (-predictions[i].confidence, i))
-    by_image: dict[str, list[int]] = {}
-    for gi, gt in enumerate(ground_truths):
-        by_image.setdefault(gt.image_id, []).append(gi)
-    matched = [False] * len(ground_truths)
-    flags: list[bool | None] = []
-    for i in order:
-        pred = predictions[i]
-        best_iou, best_gi = 0.0, -1
-        for gi in by_image.get(pred.image_id, ()):
-            if matched[gi]:
-                continue
-            v = iou(pred.bbox, ground_truths[gi].bbox)
-            if v > best_iou:
-                best_iou, best_gi = v, gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
-            if ground_truths[best_gi].difficult:
-                flags.append(None)  # hit on a difficult box: ignored
-            else:
-                matched[best_gi] = True
-                flags.append(True)
-        else:
-            flags.append(False)
+    conf = np.array([p.confidence for p in predictions], dtype=np.float64)
+    order = np.lexsort((np.arange(len(predictions)), -conf))
+    gts_of: dict[str, list[GroundTruth]] = {}
+    for gt in ground_truths:
+        gts_of.setdefault(gt.image_id, []).append(gt)
+    steps_of: dict[str, list[int]] = {}  # image id -> processing steps
+    for step, i in enumerate(order):
+        steps_of.setdefault(predictions[i].image_id, []).append(step)
+    flags: list[bool | None] = [False] * len(predictions)
+    for image_id, steps in steps_of.items():
+        gts = gts_of.get(image_id)
+        if not gts:
+            continue
+        ious = iou_matrix([predictions[order[s]].bbox for s in steps],
+                          [g.bbox for g in gts])
+        matched = np.zeros(len(gts), dtype=bool)
+        for step, row in zip(steps, ious):
+            row = np.where(matched, -1.0, row)
+            best = int(row.argmax())
+            if row[best] > 0 and row[best] >= iou_threshold:
+                if gts[best].difficult:
+                    flags[step] = None  # hit on a difficult box: ignored
+                else:
+                    matched[best] = True
+                    flags[step] = True
     total_gt = sum(1 for g in ground_truths if not g.difficult)
     return flags, total_gt
 
@@ -208,22 +212,29 @@ def load_predictions(path) -> list[Prediction]:
     """Predictions from detection JSON (file or directory of files) or flat text.
 
     Flat lines: image_id class confidence x1 y1 x2 y2. Detection JSONs use
-    the image path stem as the image id.
+    the image path stem as the image id; two JSONs in one directory with the
+    same id raise ValueError rather than merge.
     """
     p = Path(path)
     if p.is_dir():
         out = []
+        source_of: dict[str, Path] = {}
         for f in sorted(p.glob("*.json")):
             if f.name == "index.json":
                 continue
-            out.extend(_preds_from_detect_json(f))
+            image_id, preds = _preds_from_detect_json(f)
+            if image_id in source_of:
+                raise ValueError(f"{source_of[image_id]} and {f} both hold "
+                                 f"detections for image id {image_id!r}")
+            source_of[image_id] = f
+            out.extend(preds)
         return out
     if p.suffix.lower() == ".json":
-        return _preds_from_detect_json(p)
+        return _preds_from_detect_json(p)[1]
     return _preds_from_text(p)
 
 
-def _preds_from_detect_json(p: Path) -> list[Prediction]:
+def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
     with open(p, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     image_id = Path(doc["image"]).stem
@@ -232,7 +243,7 @@ def _preds_from_detect_json(p: Path) -> list[Prediction]:
         b = det["bbox"]
         out.append(Prediction(image_id, det["class_name"], float(det["confidence"]),
                               BBox(b["x1"], b["y1"], b["x2"], b["y2"])))
-    return out
+    return image_id, out
 
 
 def _preds_from_text(p: Path) -> list[Prediction]:

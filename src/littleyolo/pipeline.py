@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boxes import BBox, iou
+from .boxes import BBox, iou_matrix
 from .config import Yolo
 from .graph import NetworkGraph, forward
 from .tensor import FLOAT, ShapeError
@@ -22,6 +22,11 @@ DEFAULT_CONF_THRESHOLD = 0.25
 DEFAULT_NMS_THRESHOLD = 0.45
 
 GRAY_FILL = 0.5
+
+# tw/th are clamped to this before exp, so an exploding head still gives
+# boxes whose corners and areas are finite in float64 (exp(300) ~ 2e130).
+# Random-weight heads reach tw ~ 143; trained ones stay in single digits.
+MAX_LOG_SIZE = 300.0
 
 # default class-name tables by class count
 CLASS_NAMES = {2: ("car", "bus"), 3: ("car", "bus", "truck")}
@@ -170,7 +175,8 @@ def decode_yolo(raw: np.ndarray, anchors, mask, net_w: int, net_h: int,
     """Decode one raw head output (len(mask)*(5+classes), gh, gw).
 
     Per anchor slot and cell: center = (sigmoid(txy) + cell) / grid * net,
-    size = anchor * exp(twh), objectness and class probabilities logistic.
+    size = anchor * exp(min(twh, MAX_LOG_SIZE)), objectness and class
+    probabilities logistic.
     """
     slots = len(mask)
     per = 5 + classes
@@ -185,8 +191,8 @@ def decode_yolo(raw: np.ndarray, anchors, mask, net_w: int, net_h: int,
     by = (_sigmoid(r[:, 1]) + cy) / gh * net_h
     anchor_w = np.array([anchors[m][0] for m in mask])[:, None, None]
     anchor_h = np.array([anchors[m][1] for m in mask])[:, None, None]
-    bw = anchor_w * np.exp(r[:, 2])
-    bh = anchor_h * np.exp(r[:, 3])
+    bw = anchor_w * np.exp(np.minimum(r[:, 2], MAX_LOG_SIZE))
+    bh = anchor_h * np.exp(np.minimum(r[:, 3], MAX_LOG_SIZE))
     objectness = _sigmoid(r[:, 4]).reshape(-1)
     class_probs = _sigmoid(r[:, 5:]).transpose(0, 2, 3, 1).reshape(-1, classes)
     boxes = np.stack([bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2],
@@ -223,20 +229,28 @@ def nms(detections: list[Detection],
     Repeatedly keep the highest-confidence remaining detection (ties broken
     by lower original index) and drop same-class detections whose IoU with it
     exceeds the threshold. Output is sorted by confidence descending.
+
+    Each kept box is compared in one IoU row against the later, still-alive
+    boxes of its class, so memory stays linear in the candidate count.
     """
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
-    keep: list[Detection] = []
-    alive = [True] * len(detections)
-    for pos, i in enumerate(order):
-        if not alive[i]:
-            continue
-        det = detections[i]
-        keep.append(det)
-        for j in order[pos + 1:]:
-            if alive[j] and detections[j].class_id == det.class_id:
-                if iou(det.bbox, detections[j].bbox) > iou_threshold:
-                    alive[j] = False
-    return keep
+    boxes = np.array([d.bbox for d in detections], dtype=np.float64)
+    conf = np.array([d.confidence for d in detections], dtype=np.float64)
+    classes = np.array([d.class_id for d in detections])
+    order = np.lexsort((np.arange(len(detections)), -conf))
+    boxes, classes = boxes[order], classes[order]
+    kept = []  # positions in `order`
+    for c in np.unique(classes):
+        members = np.flatnonzero(classes == c)
+        class_boxes = boxes[members]
+        alive = np.ones(len(members), dtype=bool)
+        for k in range(len(members)):
+            if not alive[k]:
+                continue
+            kept.append(members[k])
+            later = k + 1 + np.flatnonzero(alive[k + 1:])
+            ious = iou_matrix(class_boxes[k], class_boxes[later])[0]
+            alive[later[ious > iou_threshold]] = False
+    return [detections[order[p]] for p in sorted(kept)]
 
 
 # --------------------------------------------------------------------- detect

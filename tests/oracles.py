@@ -121,6 +121,59 @@ def iou_scalar(a, b):
     return inter / union if union > 0 else 0.0
 
 
+def nms_oracle(detections, iou_threshold):
+    """Scalar greedy per-class NMS over objects with bbox, confidence and
+    class_id: visit in (-confidence, index) order, keep each survivor and
+    drop later same-class boxes whose IoU with it exceeds the threshold."""
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i].confidence, i))
+    alive = [True] * len(detections)
+    keep = []
+    for pos, i in enumerate(order):
+        if not alive[i]:
+            continue
+        det = detections[i]
+        keep.append(det)
+        for j in order[pos + 1:]:
+            if alive[j] and detections[j].class_id == det.class_id:
+                if iou_scalar(det.bbox, detections[j].bbox) > iou_threshold:
+                    alive[j] = False
+    return keep
+
+
+def match_class_oracle(predictions, ground_truths, iou_threshold):
+    """Scalar greedy matching over objects with image_id/confidence/bbox
+    (predictions) and image_id/bbox/difficult (ground truths). Returns the
+    TP/FP/ignored flags in (-confidence, index) order and the count of
+    non-difficult ground truths."""
+    order = sorted(range(len(predictions)),
+                   key=lambda i: (-predictions[i].confidence, i))
+    by_image = {}
+    for gi, gt in enumerate(ground_truths):
+        by_image.setdefault(gt.image_id, []).append(gi)
+    matched = [False] * len(ground_truths)
+    flags = []
+    for i in order:
+        pred = predictions[i]
+        best_iou, best_gi = 0.0, -1
+        for gi in by_image.get(pred.image_id, ()):
+            if matched[gi]:
+                continue
+            v = iou_scalar(pred.bbox, ground_truths[gi].bbox)
+            if v > best_iou:
+                best_iou, best_gi = v, gi
+        if best_gi >= 0 and best_iou >= iou_threshold:
+            if ground_truths[best_gi].difficult:
+                flags.append(None)
+            else:
+                matched[best_gi] = True
+                flags.append(True)
+        else:
+            flags.append(False)
+    total_gt = sum(1 for g in ground_truths if not g.difficult)
+    return flags, total_gt
+
+
 def ap_bruteforce(predictions, ground_truths, iou_threshold, interpolation="all"):
     """Reference single-class AP: greedy matching plus direct envelope sums.
 

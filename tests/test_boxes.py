@@ -172,14 +172,21 @@ class TestInvariants:
 
 class TestMatrixAndMSE:
     def test_iou_matrix_matches_pairwise(self):
+        # NMS and eval matching use the matrix in place of scalar iou, so
+        # the two must agree exactly, degenerate pairs included
         rng = np.random.default_rng(12)
-        a = random_boxes(rng, 7)
-        b = random_boxes(rng, 5)
+        grid = rng.integers(0, 6, (40, 2))
+        grid_boxes = np.hstack([grid, grid + rng.integers(0, 4, (40, 2))])
+        degenerate = np.array([[0, 0, 0, 0], [1, 1, 1, 5], [1, 1, 5, 1],
+                               [2, 2, 2, 2], [0, 0, 4, 4], [4, 0, 8, 4]],
+                              dtype=np.float64)
+        a = np.vstack([random_boxes(rng, 7), grid_boxes, degenerate])
+        b = np.vstack([random_boxes(rng, 5), grid_boxes[::-1], degenerate])
         m = iou_matrix(a, b)
-        assert m.shape == (7, 5)
-        for i in range(7):
-            for j in range(5):
-                assert abs(m[i, j] - iou(BBox(*a[i]), BBox(*b[j]))) <= 1e-9
+        assert m.shape == (len(a), len(b))
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert m[i, j] == iou(BBox(*a[i]), BBox(*b[j]))
 
     def test_iou_matrix_empty(self):
         m = iou_matrix(np.zeros((0, 4)), np.zeros((3, 4)))

@@ -261,6 +261,19 @@ class TestEval:
                                "--preds", str(preds))
         assert code == 1 and "empty" in err
 
+    def test_image_id_collision_fails(self, capsys, tmp_path):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("scene car 0 0 10 10\n")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for name, image in (("first.json", "/a/scene.ppm"),
+                            ("second.json", "/b/scene.ppm")):
+            (preds / name).write_text(json.dumps({"image": image, "detections": []}))
+        code, _, err = run_cli(capsys, "eval", "--gt", str(gt),
+                               "--preds", str(preds))
+        assert code == 1
+        assert "first.json" in err and "second.json" in err
+
     def test_detect_json_round_trip(self, capsys, tiny_setup):
         # detect writes JSONs; eval consumes them against matching gt
         d = tiny_setup["dir"] / "evalrun"
@@ -293,6 +306,22 @@ class TestBench:
         assert doc["mean_ms"] > 0 and doc["median_ms"] > 0
         assert doc["fps"] == pytest.approx(1000.0 / doc["mean_ms"])
         assert json.loads(out.read_text()) == doc
+
+    def test_times_the_detect_path(self, capsys, tiny_setup, monkeypatch):
+        from littleyolo import pipeline
+        calls = []
+        real = pipeline.detect
+
+        def counting_detect(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "detect", counting_detect)
+        code, _, _ = run_cli(capsys, "bench", "--cfg", tiny_setup["cfg"],
+                             "--weights", tiny_setup["weights"],
+                             "--input", tiny_setup["image"], "--iters", "2")
+        assert code == 0
+        assert len(calls) == 3  # warmup + 2 timed
 
 
 class TestParser:

@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littleyolo.boxes import BBox
-from littleyolo.evaluate import (EvalCorpus, average_precision,
-                                 evaluation_report, format_report,
-                                 load_ground_truth, load_predictions,
-                                 match_class, mean_ap, precision_recall)
-from oracles import ap_bruteforce
+from littleyolo.evaluate import (EvalCorpus, GroundTruth, Prediction,
+                                 average_precision, evaluation_report,
+                                 format_report, load_ground_truth,
+                                 load_predictions, match_class, mean_ap,
+                                 precision_recall)
+from oracles import ap_bruteforce, match_class_oracle
 from test_anchors import write_voc
 
 UNIT = (0, 0, 10, 10)
@@ -184,6 +189,47 @@ def random_corpus(rng):
     return corpus(gts, preds)
 
 
+# integer boxes on a small grid repeat often, so several ground truths tie
+# on IoU with one prediction; images 0-3 for predictions but 0-2 for ground
+# truth leave some predictions on images without any
+grid_box = st.tuples(st.integers(0, 6), st.integers(0, 6),
+                     st.integers(0, 4), st.integers(0, 4)).map(
+    lambda r: BBox(r[0], r[1], r[0] + r[2], r[1] + r[3]))
+gt_lists = st.lists(st.builds(GroundTruth, st.sampled_from("012"),
+                              st.just("car"), grid_box, st.booleans()),
+                    max_size=15)
+pred_lists = st.lists(st.builds(Prediction, st.sampled_from("0123"),
+                                st.just("car"),
+                                st.sampled_from([0.2, 0.5, 0.5, 0.8, 0.95]),
+                                grid_box),
+                      max_size=20)
+
+
+class TestMatchingAgainstOracle:
+    @given(pred_lists, gt_lists, st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_flags_and_total(self, preds, gts, threshold):
+        assert match_class(preds, gts, threshold) == \
+            match_class_oracle(preds, gts, threshold)
+
+    def test_empty_inputs(self):
+        gts = [GroundTruth("a", "car", BBox(*UNIT)),
+               GroundTruth("a", "car", BBox(*UNIT), difficult=True)]
+        preds = [Prediction("a", "car", 0.9, BBox(*UNIT))]
+        assert match_class([], [], 0.5) == ([], 0)
+        assert match_class([], gts, 0.5) == ([], 1)
+        assert match_class(preds, [], 0.5) == ([False], 0)
+
+    def test_equal_iou_tie_takes_lower_gt_index(self):
+        # both ground truths overlap the prediction by 60/140; the first is
+        # difficult, so the tie decides between ignored and a true positive
+        gts = [GroundTruth("a", "car", BBox(0, 0, 10, 10), difficult=True),
+               GroundTruth("a", "car", BBox(0, 8, 10, 18))]
+        preds = [Prediction("a", "car", 0.9, BBox(0, 4, 10, 14))]
+        assert match_class(preds, gts, 0.4) == ([None], 1)
+        assert match_class(preds, gts[::-1], 0.4) == ([True], 1)
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("interpolation", ["all", "11point"])
     def test_random_corpora_match(self, interpolation):
@@ -269,7 +315,6 @@ class TestLoaders:
             load_predictions(f)
 
     def test_detect_json_file_and_dir(self, tmp_path):
-        import json
         doc = {"image": "/data/img7.ppm", "detections": [
             {"class_id": 0, "class_name": "car", "confidence": 0.75,
              "objectness": 0.9, "class_prob": 0.83,
@@ -282,3 +327,9 @@ class TestLoaders:
         assert single[0].bbox == BBox(1, 2, 3, 4)
         from_dir = load_predictions(tmp_path)
         assert from_dir == single  # index.json skipped
+
+    def test_detect_json_image_id_collision(self, tmp_path):
+        for name, image in (("a.json", "/x/scene.ppm"), ("b.json", "/y/scene.png")):
+            (tmp_path / name).write_text(json.dumps({"image": image, "detections": []}))
+        with pytest.raises(ValueError, match="a.json.*b.json.*'scene'"):
+            load_predictions(tmp_path)

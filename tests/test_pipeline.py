@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from littleyolo.pipeline import (AnchorSet, Detection, LetterboxTransform,
                                  resize_nearest, unletterbox)
 from littleyolo.tensor import ShapeError
 from littleyolo.weights import init_random
+from oracles import nms_oracle
 
 
 def make_det(box, conf, class_id=0):
@@ -137,6 +140,17 @@ class TestDecode:
         assert (x1 + x2) / 2 == pytest.approx(40.0)
         assert (y1 + y2) / 2 == pytest.approx(20.0)
 
+    def test_exploding_size_logits_give_finite_boxes(self):
+        raw = np.zeros((14, 2, 2), dtype=np.float32)
+        raw[2, 0, 0] = raw[3, 0, 0] = 1e4   # slot 0, cell (0, 0)
+        raw[9, 1, 1] = 1e4                  # slot 1 tw, cell (1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_yolo(raw, self.ANCHORS, (2, 3), 32, 32, 2)
+            kept = nms(filter_confidence(out, 0.0), 0.45)
+        assert np.isfinite(out.boxes).all()
+        assert all(np.isfinite(tuple(d.bbox)).all() for d in kept)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):
             decode_yolo(np.zeros((15, 2, 2), np.float32), self.ANCHORS,
@@ -231,6 +245,58 @@ class TestNMS:
         if dets:
             best = max(dets, key=lambda d: d.confidence)
             assert any(k.confidence >= best.confidence for k in kept)
+
+
+# coarse integer grids give duplicate boxes, zero-area boxes and IoUs that
+# land exactly on a threshold; few confidence levels give ties
+grid_rows = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                               st.integers(0, 4), st.integers(0, 4),
+                               st.sampled_from([0.3, 0.5, 0.5, 0.9]),
+                               st.integers(0, 2)),
+                     max_size=30)
+float_rows = st.lists(st.tuples(st.floats(0, 50), st.floats(0, 50),
+                                st.floats(0, 20), st.floats(0, 20),
+                                st.floats(0.01, 1), st.integers(0, 2)),
+                      max_size=30)
+
+
+class TestNMSAgainstOracle:
+    @given(st.one_of(grid_rows, float_rows),
+           st.sampled_from([0.0, 0.25, 0.45, 0.5, 1 / 3, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_objects_in_same_order(self, rows, threshold):
+        dets = [make_det((x, y, x + w, y + h), c, cls)
+                for x, y, w, h, c, cls in rows]
+        got = nms(dets, threshold)
+        want = nms_oracle(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    def test_dense_random_candidates(self):
+        rng = np.random.default_rng(3)
+        xy = rng.uniform(0, 400, (1500, 2))
+        wh = rng.uniform(5, 120, (1500, 2))
+        conf = np.round(rng.uniform(0.25, 1, 1500), 2)  # many ties
+        cls = rng.integers(0, 3, 1500)
+        dets = [make_det((*p, *(p + s)), float(c), int(k))
+                for p, s, c, k in zip(xy, wh, conf, cls)]
+        got = nms(dets, 0.45)
+        assert [id(d) for d in got] == [id(d) for d in nms_oracle(dets, 0.45)]
+
+    def test_memory_stays_linear(self):
+        # 6,000 same-class boxes: a full IoU matrix would need ~290 MB
+        rng = np.random.default_rng(1)
+        xy = rng.uniform(0, 600, (6000, 2))
+        wh = rng.uniform(20, 80, (6000, 2))
+        dets = [make_det((*p, *(p + s)), float(c), 0)
+                for p, s, c in zip(xy, wh, rng.uniform(0.25, 1, 6000))]
+        tracemalloc.start()
+        try:
+            kept = nms(dets, 0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(kept) < len(dets)
+        assert peak < 50e6
 
 
 class TestDetect:
