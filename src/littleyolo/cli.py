@@ -70,6 +70,20 @@ def _detect_one(g, image_path, args, names):
     return result, image, dets
 
 
+def _check_output_names(images) -> None:
+    """Each image of a directory run writes <stem>.json next to index.json;
+    raise, naming the files, when two of those names would be the same."""
+    seen = {}
+    for p in images:
+        if p.stem == "index":
+            raise ValueError(f"{p} would write index.json, which holds the "
+                             "run's index; rename the image")
+        if p.stem in seen:
+            raise ValueError(f"{seen[p.stem]} and {p} would both write "
+                             f"{p.stem}.json; rename one of them")
+        seen[p.stem] = p
+
+
 def cmd_detect(args) -> int:
     g = _load_graph(args)
     if not g.yolo_layers:
@@ -81,6 +95,7 @@ def cmd_detect(args) -> int:
                         if p.suffix.lower() in IMAGE_SUFFIXES)
         if not images:
             raise ValueError(f"no images found in {in_path}")
+        _check_output_names(images)
         if not args.output:
             raise ValueError("--output directory is required for directory input")
         out_dir = Path(args.output)

@@ -1,8 +1,9 @@
 """Network graph: build from layer specs, infer shapes, run the forward pass.
 
-build_graph resolves every layer's inputs and output shape once, up front;
-forward then just executes layers in order. Shapes are (channels, height,
-width); layer index -1 denotes the network input.
+build_graph resolves every layer's inputs, output shape and the outputs whose
+last consumer it is, once, up front; forward then just executes layers in
+order and drops each intermediate after its last use. Shapes are (channels,
+height, width); layer index -1 denotes the network input.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class Layer:
     in_channels: int
     out_shape: tuple[int, int, int]
     params: tensor.ConvParams | None = None
+    # outputs (layer indices, or NET_INPUT) last read by this layer
+    frees: tuple[int, ...] = ()
 
 
 @dataclass
@@ -137,6 +140,9 @@ def build_graph(specs: list[NetParams | LayerSpec],
                                   in_channels=in_channels, out_shape=out))
 
     _check_sinks(graph)
+    last_use = {ref: layer.index for layer in graph.layers for ref in layer.inputs}
+    for ref, index in sorted(last_use.items()):
+        graph.layers[index].frees += (ref,)
     return graph
 
 
@@ -166,20 +172,22 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
                          f"{graph.input_shape}")
     if not graph.is_populated():
         raise GraphError("graph has unpopulated conv layers; load or init weights")
-    x = np.ascontiguousarray(x, dtype=FLOAT)
-    outputs: list[np.ndarray] = []
+    live = {NET_INPUT: np.ascontiguousarray(x, dtype=FLOAT)}
     heads: dict[int, np.ndarray] = {}
     for layer in graph.layers:
         spec = layer.spec
-        src = [x if r == NET_INPUT else outputs[r] for r in layer.inputs]
+        src = [live[r] for r in layer.inputs]
+        # conv and shortcut outputs are fresh arrays: activate them in place
         if isinstance(spec, Convolutional):
-            out = tensor.activate(tensor.conv2d(src[0], layer.params), spec.activation)
+            out = tensor.activate(tensor.conv2d(src[0], layer.params), spec.activation,
+                                  inplace=True)
         elif isinstance(spec, Maxpool):
             out = tensor.maxpool(src[0], spec.size, spec.stride, spec.padding)
         elif isinstance(spec, Route):
             out = tensor.concat_channels(src)
         elif isinstance(spec, Shortcut):
-            out = tensor.activate(tensor.shortcut_add(src[0], src[1]), spec.activation)
+            out = tensor.activate(tensor.shortcut_add(src[0], src[1]), spec.activation,
+                                  inplace=True)
         elif isinstance(spec, Upsample):
             out = tensor.upsample_nearest(src[0], spec.stride)
         else:  # Yolo: passthrough
@@ -187,7 +195,9 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
             heads[layer.index] = out
         assert out.shape == layer.out_shape, \
             f"layer {layer.index}: got {out.shape}, inferred {layer.out_shape}"
-        outputs.append(out)
+        for ref in layer.frees:
+            del live[ref]
+        live[layer.index] = out
     return heads
 
 

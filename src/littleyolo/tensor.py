@@ -2,12 +2,19 @@
 
 A feature map is a numpy array of shape (channels, height, width), float32,
 C-contiguous, so the flat buffer is channel-major: index = c*H*W + y*W + x.
-There is no batch dimension. Every kernel here is a pure function of its
-inputs and runs on the CPU.
+There is no batch dimension. Every kernel here is a function of its inputs
+alone and runs on the CPU; none writes to its inputs unless asked to
+(activate's inplace mode, mish/leaky_relu's out argument).
 
 Convolution accumulates in float64 (im2col + BLAS matmul) and casts the
 result back to float32, which keeps it comfortably inside the 1e-5 relative
-tolerance against a direct-definition oracle.
+tolerance against a direct-definition oracle. The k*k-times larger column
+matrix is built once, in float64, straight from the padded float32 input's
+windows (no float32 copy of it exists), and is freed when the matmul
+returns. Batch norm and bias are then applied in place on the float64
+matmul output (no weights are folded), and activate(..., inplace=True) lets
+the forward pass run the activation in place on the fresh float32 output.
+Max pooling is separable: a max along rows, then along columns.
 """
 
 from __future__ import annotations
@@ -115,26 +122,35 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k}x{k} (pad {p}) does not fit input {h}x{w}")
 
-    if k == 1 and p == 0:
-        cols = x[:, ::s, ::s].reshape(c_in, oh * ow).astype(np.float64)
-    else:
-        padded = np.pad(x, ((0, 0), (p, p), (p, p)))
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-        windows = windows[:, ::s, ::s]  # (c_in, oh, ow, k, k)
-        cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, oh * ow)
-        cols = cols.astype(np.float64)
-
     flat_w = params.weights.reshape(params.filters, c_in * k * k).astype(np.float64)
-    out = flat_w @ cols
+    out = flat_w @ _im2col(x, k, s, p, oh, ow)
 
     bn = params.batch_norm
     bias = params.bias.astype(np.float64)[:, None]
     if bn is not None:
         scale = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.epsilon)
-        out = out * scale[:, None] + (bias - bn.mean.astype(np.float64)[:, None] * scale[:, None])
+        out *= scale[:, None]
+        out += bias - bn.mean.astype(np.float64)[:, None] * scale[:, None]
     else:
-        out = out + bias
+        out += bias
     return out.reshape(params.filters, oh, ow).astype(FLOAT)
+
+
+def _im2col(x: np.ndarray, k: int, s: int, p: int, oh: int, ow: int) -> np.ndarray:
+    """float64 (c_in*k*k, oh*ow) column matrix, rows ordered (channel, ky, kx).
+
+    Each of the k*k shifted windows of the padded input is copied, and
+    widened to float64, straight into the matrix: there is no float32 copy.
+    """
+    c_in = x.shape[0]
+    if k == 1 and p == 0:
+        return np.ascontiguousarray(x[:, ::s, ::s], dtype=np.float64).reshape(c_in, oh * ow)
+    padded = np.pad(x, ((0, 0), (p, p), (p, p)))
+    cols = np.empty((c_in, k, k, oh, ow), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, ky, kx] = padded[:, ky:ky + oh * s:s, kx:kx + ow * s:s]
+    return cols.reshape(c_in * k * k, oh * ow)
 
 
 def maxpool(x: np.ndarray, size: int, stride: int, padding: int) -> np.ndarray:
@@ -156,10 +172,13 @@ def maxpool(x: np.ndarray, size: int, stride: int, padding: int) -> np.ndarray:
         raise ShapeError(f"window {size}x{size} (pad {padding}) larger than input {h}x{w}")
     padded = np.full((c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
     padded[:, padding:padding + h, padding:padding + w] = x
-    out = np.full((c, oh, ow), -np.inf, dtype=x.dtype)
-    for dy in range(size):
-        for dx in range(size):
-            np.maximum(out, padded[:, dy:dy + oh * stride:stride, dx:dx + ow * stride:stride], out=out)
+    # The window max is separable: a max along rows, then along columns.
+    rows = padded[:, :, :ow * stride:stride].copy()
+    for dx in range(1, size):
+        np.maximum(rows, padded[:, :, dx:dx + ow * stride:stride], out=rows)
+    out = rows[:, :oh * stride:stride].copy()
+    for dy in range(1, size):
+        np.maximum(out, rows[:, dy:dy + oh * stride:stride], out=out)
     return out
 
 
@@ -207,24 +226,36 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.where(x > 20.0, x, np.log1p(np.exp(safe)))
 
 
-def mish(x: np.ndarray) -> np.ndarray:
-    """mish(x) = x * tanh(softplus(x)), overflow-safe, dtype-preserving."""
+def mish(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """mish(x) = x * tanh(softplus(x)), overflow-safe, dtype-preserving.
+
+    The result goes to a new array, or into out (which may be x itself).
+    """
     x = np.asarray(x)
-    return x * np.tanh(_softplus(x))
+    return np.multiply(x, np.tanh(_softplus(x)), out=out)
 
 
-def leaky_relu(x: np.ndarray) -> np.ndarray:
-    """max(x, 0.1*x): the conventional darknet leaky slope."""
+def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0.1*x): the conventional darknet leaky slope.
+
+    Equal to x where x > 0 and 0.1*x elsewhere, signed zeros and NaN
+    included. The result goes to a new array, or into out (which may be x).
+    """
     x = np.asarray(x)
-    return np.where(x > 0, x, x.dtype.type(0.1) * x)
+    return np.maximum(x, x.dtype.type(0.1) * x, out=out)
 
 
-def activate(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply a named activation elementwise. kind is one of ACTIVATIONS."""
+def activate(x: np.ndarray, kind: str, inplace: bool = False) -> np.ndarray:
+    """Apply a named activation elementwise. kind is one of ACTIVATIONS.
+
+    Returns a new array; with inplace=True, x (a writable float array) is
+    overwritten with the result and returned, and linear is a no-op.
+    """
+    out = x if inplace else None
     if kind == "linear":
-        return np.asarray(x).copy()
+        return x if inplace else np.asarray(x).copy()
     if kind == "leaky":
-        return leaky_relu(x)
+        return leaky_relu(x, out)
     if kind == "mish":
-        return mish(x)
+        return mish(x, out)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")

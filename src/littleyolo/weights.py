@@ -8,7 +8,9 @@ Layout (all little-endian):
         weights[n * c_in * k * k]        (filter-major, then channel, row, col)
     as float32. The loader consumes the byte count implied by the graph
     exactly; anything else is a format error. Files with version
-    major*10 + minor < 2 use a different counter width and are rejected.
+    major*10 + minor < 2 use a different counter width and are rejected, and
+    so are non-finite bias or batch-norm values and negative variances
+    (the conv weights themselves are not scanned).
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ def load_weights(graph, data: bytes):
     """Populate graph conv layers from a weights byte stream.
 
     The stream must contain exactly the parameters the graph calls for;
-    truncated or trailing bytes raise WeightsError naming both counts.
+    truncated or trailing bytes raise WeightsError naming both counts. A
+    non-finite bias or batch-norm value, or a negative variance, raises
+    WeightsError naming the layer.
     """
     if len(data) < HEADER_BYTES:
         raise WeightsError(f"stream has {len(data)} bytes, shorter than the "
@@ -104,12 +108,29 @@ def load_weights(graph, data: bytes):
         if spec.batch_normalize:
             bn = BatchNorm(gamma=take(n), mean=take(n), var=take(n),
                            epsilon=BN_EPSILON)
+        _check_channel_params(layer.index, bias, bn)
         weights = take(n * c * k * k).reshape(n, c, k, k)
         layer.params = ConvParams(weights=weights, bias=bias,
                                   stride=spec.stride, padding=spec.padding,
                                   batch_norm=bn)
     graph.images_seen = seen
     return graph
+
+
+def _check_channel_params(index: int, bias: np.ndarray, bn: BatchNorm | None) -> None:
+    """Reject the per-channel values that would turn a layer's output to NaN."""
+    named = [("bias", bias)]
+    if bn is not None:
+        named += [("gamma", bn.gamma), ("mean", bn.mean), ("var", bn.var)]
+    for name, values in named:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise WeightsError(f"layer {index}: {name}[{bad[0]}] is "
+                               f"{values[bad[0]]} ({bad.size} non-finite values)")
+    bad = np.flatnonzero(bn.var < 0) if bn is not None else ()
+    if len(bad):
+        raise WeightsError(f"layer {index}: var[{bad[0]}] is {bn.var[bad[0]]}; "
+                           f"batch-norm variance must be >= 0 ({bad.size} negative)")
 
 
 def init_random(graph, seed: int):

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from first principles (nested loops,
 finite differences, direct enumeration) and deliberately shares no code with
-the package.
+the package. The seed forward-pass kernels at the end are the exception: they
+keep the package's first implementation, and reuse its unchanged kernels.
 """
 
 import numpy as np
@@ -225,3 +226,101 @@ def ap_bruteforce(predictions, ground_truths, iou_threshold, interpolation="all"
     for lo, hi in zip(recalls, recalls[1:]):
         ap += (hi - lo) * envelope(hi)
     return ap
+
+
+# ------------------------------------------------- seed forward-pass kernels
+#
+# The convolution, pooling and forward loop as first written: a float32
+# im2col cast to float64, a BN epilogue that allocates, a size x size pool
+# loop, and a forward pass that keeps every layer's output. The fast path in
+# the package must reproduce their outputs bit for bit.
+
+def conv2d_seed(x, params):
+    """2-D cross-correlation with zero padding, plus batch-norm and bias.
+
+    x: (c_in, H, W) float32; params: a ConvParams. Returns float32.
+    """
+    c_in, h, w = x.shape
+    k, s, p = params.size, params.stride, params.padding
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+
+    if k == 1 and p == 0:
+        cols = x[:, ::s, ::s].reshape(c_in, oh * ow).astype(np.float64)
+    else:
+        padded = np.pad(x, ((0, 0), (p, p), (p, p)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+        windows = windows[:, ::s, ::s]  # (c_in, oh, ow, k, k)
+        cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, oh * ow)
+        cols = cols.astype(np.float64)
+
+    flat_w = params.weights.reshape(params.filters, c_in * k * k).astype(np.float64)
+    out = flat_w @ cols
+
+    bn = params.batch_norm
+    bias = params.bias.astype(np.float64)[:, None]
+    if bn is not None:
+        scale = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.epsilon)
+        out = out * scale[:, None] + (bias - bn.mean.astype(np.float64)[:, None] * scale[:, None])
+    else:
+        out = out + bias
+    return out.reshape(params.filters, oh, ow).astype(np.float32)
+
+
+def maxpool_seed(x, size, stride, padding):
+    """Max pooling with -inf padding, one np.maximum per window offset."""
+    c, h, w = x.shape
+    oh = (h + 2 * padding - size) // stride + 1
+    ow = (w + 2 * padding - size) // stride + 1
+    padded = np.full((c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=x.dtype)
+    padded[:, padding:padding + h, padding:padding + w] = x
+    out = np.full((c, oh, ow), -np.inf, dtype=x.dtype)
+    for dy in range(size):
+        for dx in range(size):
+            np.maximum(out, padded[:, dy:dy + oh * stride:stride, dx:dx + ow * stride:stride], out=out)
+    return out
+
+
+def activate_seed(x, kind):
+    """Named activation that always allocates: a copy for linear, np.where
+    for leaky, the package's mish."""
+    from littleyolo import tensor
+
+    if kind == "linear":
+        return np.asarray(x).copy()
+    if kind == "leaky":
+        return np.where(x > 0, x, x.dtype.type(0.1) * x)
+    return tensor.mish(x)
+
+
+def forward_seed(graph, x):
+    """Run the network keeping every layer's output; {yolo index: head}.
+
+    Uses conv2d_seed, maxpool_seed and activate_seed, and the package's
+    upsample, concat and shortcut kernels.
+    """
+    from littleyolo import tensor
+    from littleyolo.config import (Convolutional, Maxpool, Route, Shortcut,
+                                   Upsample)
+
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    outputs = []
+    heads = {}
+    for layer in graph.layers:
+        spec = layer.spec
+        src = [x if r == -1 else outputs[r] for r in layer.inputs]
+        if isinstance(spec, Convolutional):
+            out = activate_seed(conv2d_seed(src[0], layer.params), spec.activation)
+        elif isinstance(spec, Maxpool):
+            out = maxpool_seed(src[0], spec.size, spec.stride, spec.padding)
+        elif isinstance(spec, Route):
+            out = tensor.concat_channels(src)
+        elif isinstance(spec, Shortcut):
+            out = activate_seed(tensor.shortcut_add(src[0], src[1]), spec.activation)
+        elif isinstance(spec, Upsample):
+            out = tensor.upsample_nearest(src[0], spec.stride)
+        else:  # Yolo: passthrough
+            out = src[0]
+            heads[layer.index] = out
+        outputs.append(out)
+    return heads

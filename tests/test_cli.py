@@ -152,6 +152,35 @@ class TestDetect:
         assert idx[0] == idx[1]
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_output_name_collision_fails_before_detecting(self, capsys, tiny_setup,
+                                                          workers):
+        d = tiny_setup["dir"] / "imgs"
+        d.mkdir()
+        pixels = np.zeros((32, 32, 3), np.uint8)
+        write_ppm_image(d / "scene.ppm", pixels)
+        write_ppm_image(d / "scene.png", pixels)  # read by magic bytes: a PPM
+        out_dir = tiny_setup["dir"] / "out"
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", str(d), "--output", str(out_dir),
+                                 "--workers", workers)
+        assert code == 1
+        assert "scene.ppm" in err and "scene.png" in err and "scene.json" in err
+        assert "processed" not in out
+        assert not out_dir.exists() or not list(out_dir.glob("*.json*"))
+
+    def test_image_named_index_fails(self, capsys, tiny_setup):
+        d = tiny_setup["dir"] / "imgs"
+        d.mkdir()
+        write_ppm_image(d / "index.ppm", np.zeros((32, 32, 3), np.uint8))
+        code, _, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                               "--weights", tiny_setup["weights"],
+                               "--input", str(d), "--output",
+                               str(tiny_setup["dir"] / "out"))
+        assert code == 1 and "index.ppm" in err and "index.json" in err
+
+
 class TestAnchors:
     def _voc(self, tmp_path):
         d = tmp_path / "ann"

@@ -7,8 +7,8 @@ from littleyolo.tensor import (BatchNorm, ConvParams, ShapeError, activate,
                                concat_channels, conv2d, conv_output_size,
                                leaky_relu, maxpool, mish, shortcut_add,
                                upsample_nearest)
-from oracles import (concat_oracle, conv2d_oracle, maxpool_oracle,
-                     shortcut_oracle, upsample_oracle)
+from oracles import (concat_oracle, conv2d_oracle, conv2d_seed, maxpool_oracle,
+                     maxpool_seed, shortcut_oracle, upsample_oracle)
 
 
 def make_conv(weights, bias=None, stride=1, padding=0, bn=None):
@@ -98,6 +98,43 @@ class TestConv2d:
         np.testing.assert_array_equal(a, b)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 5), st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn, seed):
+    padding = min(padding, k)
+    if k > h + 2 * padding or k > w + 2 * padding:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+    bn = None
+    if with_bn:
+        bn = BatchNorm(gamma=rng.uniform(-2, 2, n).astype(np.float32),
+                       mean=rng.standard_normal(n).astype(np.float32),
+                       var=rng.uniform(0, 3, n).astype(np.float32))
+    p = make_conv(rng.standard_normal((n, c_in, k, k)), rng.standard_normal(n),
+                  stride, padding, bn)
+    got = conv2d(x, p)
+    want = conv2d_seed(x, p)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_bn_epilogue_order_matches_seed():
+    # Outputs near a large batch-norm mean cancel, so any other order of the
+    # float64 scale/shift (say (conv - mean) * scale + bias) shows up after
+    # the float32 cast.
+    rng = np.random.default_rng(12)
+    x = (1e6 + rng.uniform(-1, 1, (1, 8, 8))).astype(np.float32)
+    n = 6
+    bn = BatchNorm(gamma=rng.uniform(0.5, 2, n).astype(np.float32),
+                   mean=np.full(n, 1e6, np.float32),
+                   var=rng.uniform(0.1, 2, n).astype(np.float32))
+    p = make_conv(np.ones((n, 1, 1, 1)), rng.uniform(-1, 1, n), bn=bn)
+    assert np.array_equal(conv2d(x, p), conv2d_seed(x, p))
+
+
 class TestMaxpool:
     def test_hand_2x2(self):
         x = np.array([[[1, 2], [3, 4]]], dtype=np.float32)
@@ -130,6 +167,17 @@ class TestMaxpool:
             x = rng.uniform(-5, 5, (int(rng.integers(1, 4)), h, w)).astype(np.float32)
             np.testing.assert_array_equal(maxpool(x, size, stride, padding),
                                           maxpool_oracle(x, size, stride, padding))
+
+    def test_matches_seed_with_nan_and_inf(self):
+        rng = np.random.default_rng(10)
+        for size, stride, padding in ((9, 1, 4), (5, 1, 2), (2, 2, 0), (3, 2, 1)):
+            x = rng.uniform(-5, 5, (3, 11, 10)).astype(np.float32)
+            x[0, 3, 4] = np.nan
+            x[1, 6, 2] = -np.inf
+            x[2, 0, 9] = np.inf
+            got = maxpool(x, size, stride, padding)
+            want = maxpool_seed(x, size, stride, padding)
+            np.testing.assert_array_equal(got, want)  # NaN positions equal too
 
     def test_window_larger_than_input(self):
         with pytest.raises(ShapeError):
@@ -256,6 +304,33 @@ class TestActivations:
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="relu"):
             activate(np.zeros(1), "relu")
+
+    def test_leaky_matches_where_on_special_values(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 1e-38,
+                      -1e-38, 3.4e38, -3.4e38, 1.0, -1.0], dtype=np.float32)
+        x = np.concatenate([x, np.random.default_rng(4).standard_normal(1000)
+                            .astype(np.float32)])
+        want = np.where(x > 0, x, np.float32(0.1) * x)
+        got = leaky_relu(x)
+        np.testing.assert_array_equal(got, want)
+        assert (np.signbit(got) == np.signbit(want)).all()
+
+    @pytest.mark.parametrize("kind", ["linear", "leaky", "mish"])
+    def test_activate_leaves_input_unchanged(self, kind):
+        x = np.array([-3.0, -0.0, 0.0, 0.5, 40.0, np.nan], dtype=np.float32)
+        before = x.copy()
+        out = activate(x, kind)
+        assert out is not x
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("kind", ["linear", "leaky", "mish"])
+    def test_activate_inplace_matches_copy(self, kind):
+        x = np.random.default_rng(11).standard_normal((3, 4, 5)).astype(np.float32)
+        want = activate(x, kind)
+        out = activate(x, kind, inplace=True)
+        assert out is x
+        np.testing.assert_array_equal(x, want)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_leaky_monotone(self, a, b):

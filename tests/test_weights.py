@@ -160,6 +160,82 @@ class TestErrors:
             load_weights(build_graph_copy(tiny_populated), old)
 
 
+BN_CFG = """\
+[net]
+width=8
+height=8
+channels=3
+
+[convolutional]
+filters=4
+size=3
+stride=1
+pad=1
+batch_normalize=1
+activation=leaky
+
+[convolutional]
+filters=4
+size=1
+stride=1
+batch_normalize=1
+activation=leaky
+
+[convolutional]
+filters=2
+size=1
+stride=1
+activation=linear
+"""
+
+
+@pytest.fixture
+def bn_populated():
+    from littleyolo.config import lower_to_specs, parse_config
+    g = build_graph(lower_to_specs(parse_config(BN_CFG)))
+    return init_random(g, seed=3)
+
+
+def _with_value(graph, index, field, value, pos=1):
+    """Weights stream of graph with one bias or batch-norm value replaced."""
+    import copy
+    g = copy.deepcopy(graph)
+    p = g.layers[index].params
+    owner = p if field == "bias" else p.batch_norm
+    getattr(owner, field)[pos] = value
+    return save_weights(g)
+
+
+class TestBadChannelValues:
+    def test_valid_stream_round_trips(self, bn_populated):
+        blob = save_weights(bn_populated)
+        g2 = build_graph_copy(bn_populated)
+        load_weights(g2, blob)
+        assert save_weights(g2) == blob
+
+    def test_nan_gamma_names_layer(self, bn_populated):
+        blob = _with_value(bn_populated, 1, "gamma", np.nan)
+        with pytest.raises(WeightsError, match=r"layer 1: gamma\[1\] is nan"):
+            load_weights(build_graph_copy(bn_populated), blob)
+
+    def test_negative_var_names_layer(self, bn_populated):
+        blob = _with_value(bn_populated, 0, "var", -0.5, pos=3)
+        with pytest.raises(WeightsError, match=r"layer 0: var\[3\] is -0.5"):
+            load_weights(build_graph_copy(bn_populated), blob)
+
+    @pytest.mark.parametrize("index,field", [(0, "mean"), (1, "var"), (2, "bias")])
+    def test_infinite_values_rejected(self, bn_populated, index, field):
+        blob = _with_value(bn_populated, index, field, np.inf)
+        with pytest.raises(WeightsError, match=rf"layer {index}: {field}\[1\] is inf"):
+            load_weights(build_graph_copy(bn_populated), blob)
+
+    def test_zero_var_accepted(self, bn_populated):
+        # var + eps stays positive, so a zero variance is a usable layer
+        blob = _with_value(bn_populated, 0, "var", 0.0)
+        g2 = load_weights(build_graph_copy(bn_populated), blob)
+        assert g2.layers[0].params.batch_norm.var[1] == 0.0
+
+
 class TestSizes:
     def test_layer_param_count_conv_bn(self):
         from littleyolo.config import Convolutional
