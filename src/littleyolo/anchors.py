@@ -12,12 +12,12 @@ reproducible across platforms for a given seed.
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .evaluate import parse_voc_xml
 from .pipeline import AnchorSet
 from .rng import SplitMix64
 
@@ -184,13 +184,16 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
     out = []
     files = sorted(Path(path).glob("*.xml"))
     for f in files:
-        root = ET.parse(str(f)).getroot()
+        root = parse_voc_xml(f)
         size = root.find("size")
         if size is None:
             continue
-        img_w = float(size.findtext("width", "0"))
-        img_h = float(size.findtext("height", "0"))
-        for obj in root.iter("object"):
+        try:
+            img_w = float(size.findtext("width", "0"))
+            img_h = float(size.findtext("height", "0"))
+        except ValueError as exc:
+            raise ValueError(f"{f}: <size>: {exc}") from None
+        for i, obj in enumerate(root.iter("object")):
             if class_names is not None:
                 name = (obj.findtext("name") or "").strip()
                 if name not in class_names:
@@ -198,8 +201,11 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
             box = obj.find("bndbox")
             if box is None:
                 continue
-            w = float(box.findtext("xmax", "0")) - float(box.findtext("xmin", "0"))
-            h = float(box.findtext("ymax", "0")) - float(box.findtext("ymin", "0"))
+            try:
+                w = float(box.findtext("xmax", "0")) - float(box.findtext("xmin", "0"))
+                h = float(box.findtext("ymax", "0")) - float(box.findtext("ymin", "0"))
+            except ValueError as exc:
+                raise ValueError(f"{f}: object {i}: {exc}") from None
             wh = _normalize(w, h, img_w, img_h)
             if wh:
                 out.append(wh)

@@ -178,18 +178,30 @@ def load_ground_truth(path) -> list[GroundTruth]:
 def _gt_from_voc_dir(p: Path) -> list[GroundTruth]:
     out = []
     for f in sorted(p.glob("*.xml")):
-        root = ET.parse(str(f)).getroot()
+        root = parse_voc_xml(f)
         image_id = f.stem
-        for obj in root.iter("object"):
+        for i, obj in enumerate(root.iter("object")):
             box = obj.find("bndbox")
             if box is None:
                 continue
-            bbox = BBox(float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
-                        float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
+            try:
+                bbox = BBox(float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
+                            float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
+            except ValueError as exc:
+                raise ValueError(f"{f}: object {i}: {exc}") from None
             difficult = (obj.findtext("difficult") or "0").strip() == "1"
             name = (obj.findtext("name") or "object").strip()
             out.append(GroundTruth(image_id, name, bbox, difficult))
     return out
+
+
+def parse_voc_xml(f: Path) -> ET.Element:
+    """Root element of a VOC annotation file; XML that does not parse raises
+    ValueError naming the file (ElementTree's ParseError is a SyntaxError)."""
+    try:
+        return ET.parse(str(f)).getroot()
+    except ET.ParseError as exc:
+        raise ValueError(f"{f}: not well-formed XML: {exc}") from None
 
 
 def _gt_from_text(p: Path) -> list[GroundTruth]:
@@ -235,14 +247,29 @@ def load_predictions(path) -> list[Prediction]:
 
 
 def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
+    """(image id, predictions) of one `littleyolo detect` output JSON.
+
+    A missing key, a wrongly typed value or a non-numeric confidence or
+    corner raises ValueError naming the file (and the detection's index).
+    """
     with open(p, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    image_id = Path(doc["image"]).stem
-    out = []
-    for det in doc["detections"]:
-        b = det["bbox"]
-        out.append(Prediction(image_id, det["class_name"], float(det["confidence"]),
-                              BBox(b["x1"], b["y1"], b["x2"], b["y2"])))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{p}: not valid JSON: {exc}") from None
+    i = None
+    try:
+        image_id = Path(doc["image"]).stem
+        out = []
+        for i, det in enumerate(doc["detections"]):
+            b = det["bbox"]
+            out.append(Prediction(image_id, det["class_name"], float(det["confidence"]),
+                                  BBox(float(b["x1"]), float(b["y1"]),
+                                       float(b["x2"]), float(b["y2"]))))
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        where = p if i is None else f"{p}: detection {i}"
+        raise ValueError(f"{where}: {what}") from None
     return image_id, out
 
 

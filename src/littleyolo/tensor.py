@@ -8,12 +8,21 @@ alone and runs on the CPU; none writes to its inputs unless asked to
 
 Convolution accumulates in float64 (im2col + BLAS matmul) and casts the
 result back to float32, which keeps it comfortably inside the 1e-5 relative
-tolerance against a direct-definition oracle. The k*k-times larger column
-matrix is built once, in float64, straight from the padded float32 input's
-windows (no float32 copy of it exists), and is freed when the matmul
-returns. Batch norm and bias are then applied in place on the float64
-matmul output (no weights are folded), and activate(..., inplace=True) lets
-the forward pass run the activation in place on the fresh float32 output.
+tolerance against a direct-definition oracle. conv2d walks the output in
+bands of rows: it copies a band's k*k shifted windows of the padded float32
+input, widened to float64, into one column buffer reused for every band,
+multiplies, applies batch norm and bias in place on the float64 product (no
+weights are folded) and stores the band into the float32 output. A column
+matrix of up to TILE_THRESHOLD_BYTES is one band; a larger one (the early
+layers, up to 236 MB at 640) is cut into bands of at most BAND_BYTES (or
+one row, if a row is larger). A band's float64 product may differ in the
+last bits from the whole matrix's (BLAS picks its kernel by shape); the
+float32 cast has absorbed every such difference tried, and the tests hold
+conv2d bit-equal to the untiled kernel with tiling forced on small shapes.
+The band height is a pure function of the layer shape and the two
+constants, never of threads, batch or free memory, so outputs are the same
+for any worker count. activate(..., inplace=True) lets the forward pass run
+the activation in place on the fresh float32 output.
 Max pooling is separable: a max along rows, then along columns.
 """
 
@@ -28,6 +37,11 @@ FLOAT = np.float32
 ACTIVATIONS = ("linear", "leaky", "mish")
 
 BN_EPSILON = 1e-6
+
+# conv2d builds a float64 column matrix of up to this many bytes whole, in
+# one band; a larger one is built and multiplied BAND_BYTES at a time.
+TILE_THRESHOLD_BYTES = 16 << 20
+BAND_BYTES = 8 << 20
 
 
 class ShapeError(ValueError):
@@ -122,35 +136,51 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k}x{k} (pad {p}) does not fit input {h}x{w}")
 
-    flat_w = params.weights.reshape(params.filters, c_in * k * k).astype(np.float64)
-    out = flat_w @ _im2col(x, k, s, p, oh, ow)
-
+    n, depth = params.filters, c_in * k * k
+    flat_w = params.weights.reshape(n, depth).astype(np.float64)
     bn = params.batch_norm
-    bias = params.bias.astype(np.float64)[:, None]
+    scale = None
+    shift = params.bias.astype(np.float64)
     if bn is not None:
         scale = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.epsilon)
-        out *= scale[:, None]
-        out += bias - bn.mean.astype(np.float64)[:, None] * scale[:, None]
-    else:
-        out += bias
-    return out.reshape(params.filters, oh, ow).astype(FLOAT)
+        shift = shift - bn.mean.astype(np.float64) * scale
+        scale = scale[:, None]
+    shift = shift[:, None]
+
+    padded = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
+    rows = _band_rows(c_in, k, oh, ow)
+    col_buf = np.empty(depth * rows * ow, dtype=np.float64)
+    prod_buf = np.empty(n * rows * ow, dtype=np.float64)
+    out = np.empty((n, oh, ow), dtype=FLOAT)
+    for y0 in range(0, oh, rows):
+        r = min(rows, oh - y0)
+        # Column rows are (channel, ky, kx), columns the band's pixels; each
+        # of the k*k shifted windows is copied, widened to float64, straight in.
+        cols = col_buf[:depth * r * ow].reshape(c_in, k, k, r, ow)
+        for ky in range(k):
+            for kx in range(k):
+                cols[:, ky, kx] = padded[:, ky + y0 * s:ky + (y0 + r) * s:s,
+                                         kx:kx + ow * s:s]
+        prod = np.matmul(flat_w, cols.reshape(depth, r * ow),
+                         out=prod_buf[:n * r * ow].reshape(n, r * ow))
+        if scale is not None:
+            prod *= scale
+        prod += shift
+        out[:, y0:y0 + r] = prod.reshape(n, r, ow)
+    return out
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int, oh: int, ow: int) -> np.ndarray:
-    """float64 (c_in*k*k, oh*ow) column matrix, rows ordered (channel, ky, kx).
+def _band_rows(c_in: int, k: int, oh: int, ow: int) -> int:
+    """Output rows per band of conv2d's column matrix.
 
-    Each of the k*k shifted windows of the padded input is copied, and
-    widened to float64, straight into the matrix: there is no float32 copy.
+    A pure function of the layer shape: all oh rows when the whole float64
+    matrix fits TILE_THRESHOLD_BYTES, else as many rows as fit BAND_BYTES
+    (at least one).
     """
-    c_in = x.shape[0]
-    if k == 1 and p == 0:
-        return np.ascontiguousarray(x[:, ::s, ::s], dtype=np.float64).reshape(c_in, oh * ow)
-    padded = np.pad(x, ((0, 0), (p, p), (p, p)))
-    cols = np.empty((c_in, k, k, oh, ow), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            cols[:, ky, kx] = padded[:, ky:ky + oh * s:s, kx:kx + ow * s:s]
-    return cols.reshape(c_in * k * k, oh * ow)
+    row_bytes = c_in * k * k * ow * 8
+    if row_bytes * oh <= TILE_THRESHOLD_BYTES:
+        return oh
+    return max(1, BAND_BYTES // row_bytes)
 
 
 def maxpool(x: np.ndarray, size: int, stride: int, padding: int) -> np.ndarray:

@@ -80,6 +80,13 @@ def ref_graph_randomized(ref_specs_416):
     return g
 
 
+@pytest.fixture(scope="session")
+def ref_graph_randomized_640():
+    g = build_graph(load_config(reference_config_path(640)))
+    init_random(g, seed=7)
+    return g
+
+
 @pytest.fixture
 def tiny_graph():
     from littleyolo.config import lower_to_specs, parse_config

@@ -321,6 +321,69 @@ class TestEval:
         assert json.loads(out.read_text())["map"] == 1.0
 
 
+class TestAnnotationInputErrors:
+    """Malformed annotation files fail with a one-line error naming the file."""
+
+    def _voc_dir(self, tmp_path):
+        d = tmp_path / "ann"
+        d.mkdir()
+        write_voc(d, "good", 100, 100, [("car", 0, 0, 0, 10, 10)])
+        write_voc(d, "bad", 100, 100, [("car", 0, 0, 0, 10, 10),
+                                       ("bus", 0, "abc", 5, 50, 50)])
+        return d
+
+    def _run_on_voc(self, capsys, tmp_path, command, d):
+        if command == "eval":
+            preds = tmp_path / "preds.txt"
+            preds.write_text("good car 0.9 0 0 10 10\n")
+            return run_cli(capsys, "eval", "--gt", str(d), "--preds", str(preds))
+        return run_cli(capsys, "anchors", "--input", str(d), "--k", "1")
+
+    @pytest.mark.parametrize("command", ["eval", "anchors"])
+    def test_truncated_voc_xml(self, capsys, tmp_path, command):
+        d = self._voc_dir(tmp_path)
+        bad = d / "bad.xml"
+        bad.write_text(bad.read_text()[:120])
+        code, _, err = self._run_on_voc(capsys, tmp_path, command, d)
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not well-formed XML")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "anchors"])
+    def test_non_numeric_voc_coordinate(self, capsys, tmp_path, command):
+        d = self._voc_dir(tmp_path)
+        code, _, err = self._run_on_voc(capsys, tmp_path, command, d)
+        assert code == 1
+        assert err.strip() == (f"error: {d / 'bad.xml'}: object 1: "
+                               f"could not convert string to float: 'abc'")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"image": "scene.ppm"}, "missing key 'detections'"),
+        ({"detections": []}, "missing key 'image'"),
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": "car", "confidence": 0.9,
+             "bbox": {"x1": 0, "y1": 0, "x2": 10}}]}, "detection 0: missing key 'y2'"),
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": "car", "confidence": 0.9,
+             "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}},
+            {"class_name": "car", "confidence": "high",
+             "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}}]},
+         "detection 1: could not convert string to float: 'high'"),
+        ('{"image": "scene.ppm", "detec', "not valid JSON: "),
+    ])
+    def test_malformed_detection_json(self, capsys, tmp_path, doc, message):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("scene car 0 0 10 10\n")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        f = preds / "scene.json"
+        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, _, err = run_cli(capsys, "eval", "--gt", str(gt), "--preds", str(preds))
+        assert code == 1
+        assert err.startswith(f"error: {f}: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestBench:
     def test_schema_and_sanity(self, capsys, tiny_setup):
         out = tiny_setup["dir"] / "bench.json"

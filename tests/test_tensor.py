@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littleyolo import tensor
 from littleyolo.tensor import (BatchNorm, ConvParams, ShapeError, activate,
                                concat_channels, conv2d, conv_output_size,
                                leaky_relu, maxpool, mish, shortcut_add,
@@ -98,14 +101,11 @@ class TestConv2d:
         np.testing.assert_array_equal(a, b)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3),
-       st.integers(0, 5), st.integers(1, 12), st.integers(1, 12), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn, seed):
+def seed_case(c_in, n, k, stride, padding, h, w, with_bn, seed):
+    """(x, ConvParams) drawn from seed, or None when the kernel does not fit."""
     padding = min(padding, k)
     if k > h + 2 * padding or k > w + 2 * padding:
-        return
+        return None
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((c_in, h, w)).astype(np.float32)
     bn = None
@@ -115,10 +115,77 @@ def test_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn, 
                        var=rng.uniform(0, 3, n).astype(np.float32))
     p = make_conv(rng.standard_normal((n, c_in, k, k)), rng.standard_normal(n),
                   stride, padding, bn)
+    return x, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 5), st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn, seed):
+    case = seed_case(c_in, n, k, stride, padding, h, w, with_bn, seed)
+    if case is None:
+        return
+    x, p = case
     got = conv2d(x, p)
     want = conv2d_seed(x, p)
     assert got.dtype == want.dtype and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.sampled_from([1, 3, 5]),
+       st.integers(1, 2), st.integers(0, 5), st.integers(1, 40), st.integers(1, 40),
+       st.booleans(), st.integers(0, 2**32 - 1), st.integers(1, 20000))
+def test_tiled_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn,
+                                          seed, band_bytes):
+    # A zero threshold tiles every shape; band_bytes below one row's bytes
+    # gives 1-row bands, larger values give bands of several rows with a
+    # short last band wherever they do not divide the output height.
+    case = seed_case(c_in, n, k, stride, padding, h, w, with_bn, seed)
+    if case is None:
+        return
+    x, p = case
+    with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
+            mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+        got = conv2d(x, p)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert np.array_equal(got, conv2d_seed(x, p))
+
+
+class TestBandRows:
+    def test_small_matrix_is_one_band(self):
+        # layer 12 at 416: 256 channels, 3x3, 26x26 output, 12.5 MB of columns
+        assert tensor._band_rows(256, 3, 26, 26) == 26
+
+    def test_large_matrix_bands_fit_band_bytes(self):
+        # layer 2 at 416: 32 channels, 3x3, 208x208 output, 99.7 MB of columns
+        rows = tensor._band_rows(32, 3, 208, 208)
+        row_bytes = 32 * 9 * 208 * 8
+        assert 1 < rows < 208
+        assert rows * row_bytes <= tensor.BAND_BYTES < (rows + 1) * row_bytes
+
+    def test_row_larger_than_band_gives_one_row(self):
+        assert tensor._band_rows(4096, 3, 1000, 1000) == 1
+
+    def test_forced_tiling_short_last_band_and_one_row_bands(self):
+        # 0.25 MB threshold: 16 channels * 9 * 40 wide * 8 B = 46 KB per
+        # row, 1.8 MB in all, so the matrix is tiled; 7 rows per band leave
+        # a short last band of 5 rows; a 1-byte band gives 1-row bands.
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((16, 40, 40)).astype(np.float32)
+        bn = BatchNorm(gamma=rng.uniform(0.5, 2, 24).astype(np.float32),
+                       mean=rng.standard_normal(24).astype(np.float32),
+                       var=rng.uniform(0.1, 2, 24).astype(np.float32))
+        p = make_conv(rng.standard_normal((24, 16, 3, 3)), rng.standard_normal(24),
+                      1, 1, bn)
+        row_bytes = 16 * 9 * 40 * 8
+        for band_bytes, rows in ((7 * row_bytes, 7), (1, 1)):
+            with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 1 << 18), \
+                    mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+                assert tensor._band_rows(16, 3, 40, 40) == rows
+                got = conv2d(x, p)
+            assert np.array_equal(got, conv2d_seed(x, p))
 
 
 def test_bn_epilogue_order_matches_seed():
