@@ -12,10 +12,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import anchors as anchor_mod
 from . import evaluate as eval_mod
 from . import graph as graph_mod
-from . import imaging, pipeline, weights
+from . import imaging, pipeline, tensor, weights
 from .config import NetParams, load_config, reference_config_path
 
 IMAGE_SUFFIXES = (".ppm", ".png", ".jpg", ".jpeg", ".bmp")
@@ -85,6 +87,8 @@ def _check_output_names(images) -> None:
 
 
 def cmd_detect(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     g = _load_graph(args)
     if not g.yolo_layers:
         raise ValueError("config has no yolo heads; nothing to detect")
@@ -102,23 +106,35 @@ def cmd_detect(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         def run(p):
-            result, image, dets = _detect_one(g, p, args, names)
-            out_json = out_dir / (p.stem + ".json")
-            _json_dump(result, out_json)
-            if args.annotate:
-                imaging.write_ppm(out_dir / (p.stem + ".annotated.ppm"),
-                                  imaging.annotate(image, dets))
+            # An image that cannot be read or written becomes an error row;
+            # the other images still run.
+            try:
+                result, image, dets = _detect_one(g, p, args, names)
+                out_json = out_dir / (p.stem + ".json")
+                _json_dump(result, out_json)
+                if args.annotate:
+                    imaging.write_ppm(out_dir / (p.stem + ".annotated.ppm"),
+                                      imaging.annotate(image, dets))
+            except (ValueError, OSError) as exc:
+                return {"image": str(p), "error": str(exc)}
             return {"image": str(p), "output": str(out_json),
                     "num_detections": len(result["detections"])}
 
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        active = min(args.workers, len(images))
+        if active > 1:
+            # Each worker gets its share of the BLAS threads, so the pool
+            # does not oversubscribe the cores; the count is restored after.
+            share = max(1, (tensor.blas_thread_count() or 1) // active)
+            with tensor.blas_threads(share), ThreadPoolExecutor(max_workers=active) as pool:
                 rows = list(pool.map(run, images))
         else:
             rows = [run(p) for p in images]
         _json_dump({"results": rows}, out_dir / "index.json")
-        print(f"processed {len(rows)} images -> {out_dir}")
-        return 0
+        failed = [r for r in rows if "error" in r]
+        for r in failed:
+            print(f"error: {r['error']}", file=sys.stderr)
+        print(f"processed {len(rows) - len(failed)} images -> {out_dir}")
+        return 1 if failed else 0
 
     result, image, dets = _detect_one(g, in_path, args, names)
     if args.output:
@@ -196,6 +212,13 @@ def cmd_eval(args) -> int:
 
 # ----------------------------------------------------------------------- info
 
+def _blas_name() -> str:
+    """Name and version of the BLAS numpy was built with, as numpy reports it."""
+    config = getattr(getattr(np, "__config__", None), "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return " ".join(str(blas[k]) for k in ("name", "version") if blas.get(k)) or "unknown"
+
+
 def cmd_info(args) -> int:
     g = _load_graph(args, need_weights=False)
     print(graph_mod.layer_table(g))
@@ -204,6 +227,9 @@ def cmd_info(args) -> int:
     print(f"\nlayers: {len(g.layers)}   params: {params:,}   "
           f"weights file: {size:,} bytes ({size / 1e6:.2f} MB)   "
           f"flops: {graph_mod.flops(g):.3f} B")
+    threads = tensor.blas_thread_count()
+    print(f"blas: {_blas_name()}, " + (f"{threads} threads" if threads is not None
+                                       else "thread control unavailable"))
     if args.weights:
         weights.load_weights_file(g, args.weights)
         print(f"weights: loaded {os.path.getsize(args.weights):,} bytes, "

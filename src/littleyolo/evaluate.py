@@ -215,8 +215,11 @@ def _gt_from_text(p: Path) -> list[GroundTruth]:
             raise ValueError(f"{p}:{lineno}: expected 'image_id class x1 y1 x2 y2 "
                              f"[difficult]', got {raw!r}")
         difficult = len(parts) == 7 and parts[6] in ("1", "difficult")
-        out.append(GroundTruth(parts[0], parts[1],
-                               BBox(*(float(v) for v in parts[2:6])), difficult))
+        try:
+            bbox = BBox(*(float(v) for v in parts[2:6]))
+        except ValueError as exc:
+            raise ValueError(f"{p}:{lineno}: {exc}") from None
+        out.append(GroundTruth(parts[0], parts[1], bbox, difficult))
     return out
 
 
@@ -283,8 +286,11 @@ def _preds_from_text(p: Path) -> list[Prediction]:
         if len(parts) != 7:
             raise ValueError(f"{p}:{lineno}: expected 'image_id class confidence "
                              f"x1 y1 x2 y2', got {raw!r}")
-        out.append(Prediction(parts[0], parts[1], float(parts[2]),
-                              BBox(*(float(v) for v in parts[3:7]))))
+        try:
+            out.append(Prediction(parts[0], parts[1], float(parts[2]),
+                                  BBox(*(float(v) for v in parts[3:7]))))
+        except ValueError as exc:
+            raise ValueError(f"{p}:{lineno}: {exc}") from None
     return out
 
 

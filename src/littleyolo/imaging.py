@@ -65,13 +65,16 @@ def encode_ppm(image: np.ndarray) -> bytes:
 
 
 def read_image(path) -> np.ndarray:
-    """Load an image as (H, W, 3) uint8. PPM natively; anything else via
-    Pillow when available."""
+    """Load an image as (H, W, 3) uint8. PPM natively (a malformed one raises
+    ImageError naming the file); anything else via Pillow when available."""
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] == b"P6":
-        return decode_ppm(data)
+        try:
+            return decode_ppm(data)
+        except ImageError as exc:
+            raise ImageError(f"{path}: {exc}") from None
     try:
         from PIL import Image
     except ImportError:

@@ -24,11 +24,21 @@ constants, never of threads, batch or free memory, so outputs are the same
 for any worker count. activate(..., inplace=True) lets the forward pass run
 the activation in place on the fresh float32 output.
 Max pooling is separable: a max along rows, then along columns.
+
+blas_threads(n) sets numpy's OpenBLAS thread count for the whole process
+while it is entered (the CLI splits the threads among directory workers);
+with any other BLAS it does nothing. The thread count, too, can change a
+float64 product in the last bits; the tests hold the heads of the 416 and
+640 reference nets bit-equal at one thread and at the default count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -289,3 +299,60 @@ def activate(x: np.ndarray, kind: str, inplace: bool = False) -> np.ndarray:
     if kind == "mish":
         return mish(x, out)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+
+
+# ------------------------------------------------------------- BLAS threads
+
+# Thread-count getters of the OpenBLAS builds numpy wheels ship: plain, and
+# scipy-openblas with 64-bit (suffix 64_) or 32-bit integers.
+_OPENBLAS_GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads")
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looks in the numpy.libs directory that numpy's wheels bundle their BLAS
+    in. set is openblas_set_num_threads_local, which returns the previous
+    count; despite its name the count it sets is process-wide.
+    """
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        set_threads = getattr(handle, "openblas_set_num_threads_local", None)
+        get_threads = next((getattr(handle, name) for name in _OPENBLAS_GETTERS
+                            if hasattr(handle, name)), None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = ctypes.c_int
+            get_threads.argtypes = []
+            get_threads.restype = ctypes.c_int
+            return get_threads, set_threads
+    return None
+
+
+def blas_thread_count() -> int | None:
+    """numpy's OpenBLAS thread count, or None when it cannot be controlled."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body with numpy's OpenBLAS at n threads, process-wide, then
+    restore the previous count; a no-op when the count cannot be controlled.
+    """
+    if n < 1:
+        raise ValueError(f"BLAS thread count must be >= 1, got {n}")
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib[1](n)
+    try:
+        yield
+    finally:
+        lib[1](previous)

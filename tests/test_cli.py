@@ -6,10 +6,13 @@ import pytest
 
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, TINY_CFG,
                       craft_planted_params, write_ppm_image)
+from littleyolo import cli, tensor
 from littleyolo.cli import main
-from littleyolo.config import lower_to_specs, parse_config
+from littleyolo.config import (load_config, lower_to_specs, parse_config,
+                               reference_config_path)
 from littleyolo.graph import build_graph
-from littleyolo.weights import save_weights_file
+from littleyolo.imaging import encode_ppm
+from littleyolo.weights import init_random, save_weights_file
 from test_anchors import write_voc
 
 
@@ -26,6 +29,16 @@ def tiny_setup(tmp_path):
     ppm = write_ppm_image(tmp_path / "scene.ppm", img)
     return {"cfg": str(cfg), "weights": str(wfile), "image": str(ppm),
             "dir": tmp_path}
+
+
+@pytest.fixture(scope="module")
+def ref_weights_416(tmp_path_factory):
+    """Weights file of the 416 reference net with init_random weights."""
+    g = build_graph(load_config(reference_config_path(416)))
+    init_random(g, seed=3)
+    path = tmp_path_factory.mktemp("ref") / "ref416.weights"
+    save_weights_file(g, path)
+    return path
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +68,20 @@ class TestInfo:
                                "--weights", tiny_setup["weights"])
         assert code == 0
         assert "images_seen=0" in out
+
+    def test_blas_line(self, capsys, tiny_setup, monkeypatch):
+        def blas_line():
+            code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"])
+            assert code == 0
+            lines = [l for l in out.splitlines() if l.startswith("blas: ")]
+            assert len(lines) == 1
+            return lines[0]
+
+        threads = tensor.blas_thread_count()
+        if threads is not None:
+            assert blas_line().endswith(f", {threads} threads")
+        monkeypatch.setattr(tensor, "_openblas", lambda: None)
+        assert blas_line().endswith(", thread control unavailable")
 
     def test_bad_cfg_path(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "info", "--cfg", str(tmp_path / "no.cfg"))
@@ -151,6 +178,100 @@ class TestDetect:
             r["output"] = Path(r["output"]).name
         assert idx[0] == idx[1]
 
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, tiny_setup, workers):
+        out_dir = tiny_setup["dir"] / "out"
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", str(self._image_dir(tiny_setup)),
+                                 "--output", str(out_dir), "--workers", workers)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: --workers must be at least 1, got {workers}"
+        assert not out_dir.exists()
+
+    def test_corrupt_image_becomes_an_error_row(self, capsys, tiny_setup):
+        d = self._image_dir(tiny_setup)
+        bad = d / "b_bad.ppm"
+        bad.write_bytes(encode_ppm(np.zeros((32, 32, 3), np.uint8))[:-10])
+        outs = []
+        for workers in ("1", "2"):
+            out_dir = tiny_setup["dir"] / f"w{workers}"
+            code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                     "--weights", tiny_setup["weights"],
+                                     "--input", str(d), "--output", str(out_dir),
+                                     "--workers", workers)
+            assert code == 1 and "processed 3 images" in out
+            message = f"{bad}: PPM pixel data truncated"
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith(f"error: {message}")
+            rows = json.loads((out_dir / "index.json").read_text())["results"]
+            assert [Path(r["image"]).name for r in rows] == \
+                ["a_hot.ppm", "b_bad.ppm", "b_dark.ppm", "c_noise.ppm"]
+            assert set(rows[1]) == {"image", "error"}
+            assert rows[1]["image"] == str(bad) and rows[1]["error"].startswith(message)
+            assert [r["num_detections"] for r in rows if "error" not in r] == [1, 0, 0]
+            assert not (out_dir / "b_bad.json").exists()
+            outs.append(out_dir)
+        for name in ("a_hot.json", "b_dark.json", "c_noise.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_blas_threads_split_among_workers_and_restored(self, capsys, tiny_setup,
+                                                          monkeypatch):
+        before = tensor.blas_thread_count()
+        if before is None:
+            pytest.skip("numpy's BLAS thread count cannot be controlled here")
+        d = self._image_dir(tiny_setup)
+        seen = []
+        real = cli._detect_one
+
+        def spy(*args):
+            seen.append(tensor.blas_thread_count())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_detect_one", spy)
+        for workers, want in (("1", before), ("2", max(1, before // 2))):
+            seen.clear()
+            code, _, _ = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"], "--input", str(d),
+                                 "--output", str(tiny_setup["dir"] / f"w{workers}"),
+                                 "--workers", workers)
+            assert code == 0
+            assert seen == [want] * 3
+            assert tensor.blas_thread_count() == before
+
+        def failing(*args):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(cli, "_detect_one", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            main(["detect", "--cfg", tiny_setup["cfg"], "--weights", tiny_setup["weights"],
+                  "--input", str(d), "--output", str(tiny_setup["dir"] / "fail"),
+                  "--workers", "2"])
+        assert tensor.blas_thread_count() == before
+
+    def test_reference_net_workers_agree(self, capsys, tmp_path, ref_weights_416,
+                                         monkeypatch):
+        # Random 416 weights pass hundreds of boxes per image, so the JSON
+        # exposes any bit that depends on the BLAS thread split.
+        d = tmp_path / "imgs"
+        d.mkdir()
+        rng = np.random.default_rng(11)
+        for name, shape in (("a", (48, 64, 3)), ("b", (64, 48, 3)), ("c", (40, 40, 3))):
+            write_ppm_image(d / f"{name}.ppm", rng.integers(0, 256, shape).astype(np.uint8))
+
+        def detect(sub, workers):
+            out_dir = tmp_path / sub
+            code, _, _ = run_cli(capsys, "detect", "--weights", str(ref_weights_416),
+                                 "--input", str(d), "--output", str(out_dir),
+                                 "--workers", workers)
+            assert code == 0
+            return [(out_dir / f"{name}.json").read_bytes() for name in "abc"]
+
+        serial = detect("w1", "1")
+        assert detect("w2", "2") == serial
+        monkeypatch.setattr(tensor, "_openblas", lambda: None)
+        assert detect("w2_no_control", "2") == serial
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_output_name_collision_fails_before_detecting(self, capsys, tiny_setup,
@@ -323,6 +444,19 @@ class TestEval:
 
 class TestAnnotationInputErrors:
     """Malformed annotation files fail with a one-line error naming the file."""
+
+    @pytest.mark.parametrize("which", ["gt", "preds"])
+    def test_non_numeric_flat_text_value(self, capsys, tmp_path, which):
+        gt = tmp_path / "gt.txt"
+        preds = tmp_path / "preds.txt"
+        gt.write_text("img1 car 0 0 10 10\n"
+                      + ("img1 car 0 0 abc 10\n" if which == "gt" else ""))
+        preds.write_text("img1 car 0.9 0 0 10 10\n"
+                         + ("img1 car high 0 0 10 10\n" if which == "preds" else ""))
+        bad, value = (gt, "abc") if which == "gt" else (preds, "high")
+        code, _, err = run_cli(capsys, "eval", "--gt", str(gt), "--preds", str(preds))
+        assert code == 1
+        assert err.strip() == f"error: {bad}:2: could not convert string to float: '{value}'"
 
     def _voc_dir(self, tmp_path):
         d = tmp_path / "ann"

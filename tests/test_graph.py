@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from littleyolo import tensor
 from littleyolo.config import (Convolutional, Maxpool, NetParams, Route,
                                Shortcut, Upsample, Yolo, load_config,
                                reference_config_path)
@@ -292,8 +293,15 @@ def mixed_graph(seed=0):
     return g
 
 
-def assert_heads_match_seed(graph, x):
-    heads = forward(graph, x)
+def assert_heads_match_seed(graph, x, blas_threads=None):
+    """forward's heads equal forward_seed's; with blas_threads, forward runs
+    with numpy's BLAS held to that many threads and the oracle does not."""
+    if blas_threads is None:
+        heads = forward(graph, x)
+    else:
+        with tensor.blas_threads(blas_threads):
+            assert tensor.blas_thread_count() in (None, blas_threads)
+            heads = forward(graph, x)
     want = forward_seed(graph, x)
     assert sorted(heads) == sorted(want) == [l.index for l in graph.yolo_layers]
     for i in want:
@@ -312,6 +320,17 @@ class TestForwardMatchesSeed:
         g = ref_graph_randomized_640
         x = np.random.default_rng(5).uniform(0, 1, g.input_shape)
         assert_heads_match_seed(g, x.astype(np.float32))
+
+    # One BLAS thread is what each of two directory workers gets on a
+    # 2-thread host; the heads must not depend on the thread count.
+    def test_reference_graph_one_blas_thread(self, ref_graph_randomized):
+        x = np.random.default_rng(1).uniform(0, 1, ref_graph_randomized.input_shape)
+        assert_heads_match_seed(ref_graph_randomized, x.astype(np.float32), blas_threads=1)
+
+    def test_reference_graph_640_one_blas_thread(self, ref_graph_randomized_640):
+        g = ref_graph_randomized_640
+        x = np.random.default_rng(5).uniform(0, 1, g.input_shape)
+        assert_heads_match_seed(g, x.astype(np.float32), blas_threads=1)
 
     def test_tiny_graph(self, tiny_graph):
         init_random(tiny_graph, seed=4)

@@ -202,6 +202,31 @@ def test_bn_epilogue_order_matches_seed():
     assert np.array_equal(conv2d(x, p), conv2d_seed(x, p))
 
 
+class TestBlasThreads:
+    def test_sets_then_restores_even_on_error(self):
+        before = tensor.blas_thread_count()
+        if before is None:
+            pytest.skip("numpy's BLAS thread count cannot be controlled here")
+        with tensor.blas_threads(1):
+            assert tensor.blas_thread_count() == 1
+        assert tensor.blas_thread_count() == before
+        with pytest.raises(RuntimeError):
+            with tensor.blas_threads(1):
+                raise RuntimeError("body failed")
+        assert tensor.blas_thread_count() == before
+
+    def test_no_openblas_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_openblas", lambda: None)
+        assert tensor.blas_thread_count() is None
+        with tensor.blas_threads(1):
+            pass
+
+    def test_rejects_count_below_one(self):
+        with pytest.raises(ValueError, match="got 0"):
+            with tensor.blas_threads(0):
+                pass
+
+
 class TestMaxpool:
     def test_hand_2x2(self):
         x = np.array([[[1, 2], [3, 4]]], dtype=np.float32)
