@@ -15,9 +15,9 @@ from .config import (ConfigError, load_config, lower_to_specs, parse_config,
                      print_config, reference_config_path)
 from .graph import (NetworkGraph, build_graph, flops, forward, layer_table,
                     model_bytes, param_count)
-from .pipeline import (AnchorSet, Detection, LetterboxTransform, decode_yolo,
-                       detect, filter_confidence, letterbox, nms, unletterbox)
-from .anchors import cluster_anchors, kmeanspp_seed, mean_iou_report
+from .pipeline import (Detection, LetterboxTransform, decode_yolo, detect,
+                       filter_confidence, letterbox, nms, unletterbox)
+from .anchors import AnchorSet, cluster_anchors, kmeanspp_seed, mean_iou_report
 from .evaluate import EvalCorpus, average_precision, match_class, mean_ap
 from .weights import init_random, load_weights, load_weights_file, save_weights, save_weights_file
 
@@ -29,9 +29,9 @@ __all__ = [
     "print_config", "reference_config_path",
     "NetworkGraph", "build_graph", "flops", "forward", "layer_table",
     "model_bytes", "param_count",
-    "AnchorSet", "Detection", "LetterboxTransform", "decode_yolo", "detect",
+    "Detection", "LetterboxTransform", "decode_yolo", "detect",
     "filter_confidence", "letterbox", "nms", "unletterbox",
-    "cluster_anchors", "kmeanspp_seed", "mean_iou_report",
+    "AnchorSet", "cluster_anchors", "kmeanspp_seed", "mean_iou_report",
     "EvalCorpus", "average_precision", "match_class", "mean_ap",
     "init_random", "load_weights", "load_weights_file", "save_weights",
     "save_weights_file",

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .evaluate import parse_voc_xml
-from .pipeline import AnchorSet
 from .rng import SplitMix64
 
 DISTANCES = ("one_minus_iou", "euclidean")
@@ -26,6 +26,19 @@ DISTANCES = ("one_minus_iou", "euclidean")
 # reference-network mask layout for k = 6: fine 26x26 head gets the three
 # smallest anchors, coarse 13x13 head (first in graph order) the three largest
 REFERENCE_MASKS = ((3, 4, 5), (0, 1, 2))
+
+
+class AnchorSet(NamedTuple):
+    """Anchor (w, h) pairs in network-input pixels plus per-head masks.
+
+    masks are index tuples in detection-head order (coarse head first); they
+    must be disjoint. For the reference networks the coarse 13x13 head takes
+    the three largest anchors (3, 4, 5) and the fine 26x26 head the three
+    smallest (0, 1, 2).
+    """
+
+    anchors: tuple[tuple[float, float], ...]
+    masks: tuple[tuple[int, ...], ...]
 
 
 def wh_iou(dims: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .config import NetParams, load_config, reference_config_path
 IMAGE_SUFFIXES = (".ppm", ".png", ".jpg", ".jpeg", ".bmp")
 
 
-def _load_graph(args, need_weights=True):
+def _load_graph(args):
     cfg = args.cfg
     if cfg is None:
         cfg = reference_config_path(args.size or 416)
@@ -32,9 +32,7 @@ def _load_graph(args, need_weights=True):
         net = specs[0]
         specs[0] = NetParams(width=args.size, height=args.size, channels=net.channels)
     g = graph_mod.build_graph(specs)
-    if need_weights:
-        if not args.weights:
-            raise ValueError("--weights is required for this command")
+    if args.weights:
         weights.load_weights_file(g, args.weights)
     return g
 
@@ -57,7 +55,9 @@ def _json_dump(obj, path):
 
 # --------------------------------------------------------------------- detect
 
-def _detect_one(g, image_path, args, names):
+def _detect_one(g, image_path, args, names, out_dir=None):
+    """Detect on one image and return its result document. Given out_dir,
+    also write <stem>.json there and, with --annotate, <stem>.annotated.ppm."""
     image = imaging.read_image(image_path)
     h, w = image.shape[:2]
     dets = pipeline.detect(g, imaging.to_chw_float(image),
@@ -69,7 +69,12 @@ def _detect_one(g, image_path, args, names):
         "height": h,
         "detections": [pipeline.detection_to_dict(d) for d in dets],
     }
-    return result, image, dets
+    if out_dir is not None:
+        _json_dump(result, out_dir / (image_path.stem + ".json"))
+        if args.annotate:
+            imaging.write_ppm(out_dir / (image_path.stem + ".annotated.ppm"),
+                              imaging.annotate(image, dets))
+    return result
 
 
 def _check_output_names(images) -> None:
@@ -87,13 +92,10 @@ def _check_output_names(images) -> None:
 
 
 def cmd_detect(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    g = _load_graph(args)
-    if not g.yolo_layers:
-        raise ValueError("config has no yolo heads; nothing to detect")
-    names = _read_names(args.names) if args.names else None
+    if args.annotate and not args.output:
+        raise ValueError("--annotate needs --output to hold the image")
     in_path = Path(args.input)
+    images = None
     if in_path.is_dir():
         images = sorted(p for p in in_path.iterdir()
                         if p.suffix.lower() in IMAGE_SUFFIXES)
@@ -102,55 +104,45 @@ def cmd_detect(args) -> int:
         _check_output_names(images)
         if not args.output:
             raise ValueError("--output directory is required for directory input")
-        out_dir = Path(args.output)
+    g = _load_graph(args)
+    if not g.yolo_layers:
+        raise ValueError("config has no yolo heads; nothing to detect")
+    names = _read_names(args.names) if args.names else None
+    out_dir = Path(args.output) if args.output else None
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        def run(p):
-            # An image that cannot be read or written becomes an error row;
-            # the other images still run.
-            try:
-                result, image, dets = _detect_one(g, p, args, names)
-                out_json = out_dir / (p.stem + ".json")
-                _json_dump(result, out_json)
-                if args.annotate:
-                    imaging.write_ppm(out_dir / (p.stem + ".annotated.ppm"),
-                                      imaging.annotate(image, dets))
-            except (ValueError, OSError) as exc:
-                return {"image": str(p), "error": str(exc)}
-            return {"image": str(p), "output": str(out_json),
-                    "num_detections": len(result["detections"])}
-
-        active = min(args.workers, len(images))
-        if active > 1:
-            # Each worker gets its share of the BLAS threads, so the pool
-            # does not oversubscribe the cores; the count is restored after.
-            share = max(1, (tensor.blas_thread_count() or 1) // active)
-            with tensor.blas_threads(share), ThreadPoolExecutor(max_workers=active) as pool:
-                rows = list(pool.map(run, images))
+    if images is None:
+        result = _detect_one(g, in_path, args, names, out_dir)
+        if out_dir is None:
+            json.dump(result, sys.stdout, indent=2)
+            print()
         else:
-            rows = [run(p) for p in images]
-        _json_dump({"results": rows}, out_dir / "index.json")
-        failed = [r for r in rows if "error" in r]
-        for r in failed:
-            print(f"error: {r['error']}", file=sys.stderr)
-        print(f"processed {len(rows) - len(failed)} images -> {out_dir}")
-        return 1 if failed else 0
+            print(f"wrote {out_dir / (in_path.stem + '.json')}")
+        return 0
 
-    result, image, dets = _detect_one(g, in_path, args, names)
-    if args.output:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _json_dump(result, out_dir / (in_path.stem + ".json"))
-        if args.annotate:
-            imaging.write_ppm(out_dir / (in_path.stem + ".annotated.ppm"),
-                              imaging.annotate(image, dets))
-        print(f"wrote {out_dir / (in_path.stem + '.json')}")
-    else:
-        if args.annotate:
-            raise ValueError("--annotate needs --output to hold the image")
-        json.dump(result, sys.stdout, indent=2)
-        print()
-    return 0
+    def run(p):
+        # An image that cannot be read or written becomes an error row;
+        # the other images still run.
+        try:
+            result = _detect_one(g, p, args, names, out_dir)
+        except (ValueError, OSError) as exc:
+            return {"image": str(p), "error": str(exc)}
+        return {"image": str(p), "output": str(out_dir / (p.stem + ".json")),
+                "num_detections": len(result["detections"])}
+
+    # Each worker gets its share of the BLAS threads, so the pool does not
+    # oversubscribe the cores; the count is restored after.
+    active = min(args.workers, len(images))
+    share = max(1, (tensor.blas_thread_count() or 1) // active)
+    with tensor.blas_threads(share), ThreadPoolExecutor(max_workers=active) as pool:
+        rows = list(pool.map(run, images))
+    _json_dump({"results": rows}, out_dir / "index.json")
+    failed = [r for r in rows if "error" in r]
+    for r in failed:
+        print(f"error: {r['error']}", file=sys.stderr)
+    print(f"processed {len(rows) - len(failed)} images -> {out_dir}")
+    return 1 if failed else 0
 
 
 # -------------------------------------------------------------------- anchors
@@ -220,7 +212,7 @@ def _blas_name() -> str:
 
 
 def cmd_info(args) -> int:
-    g = _load_graph(args, need_weights=False)
+    g = _load_graph(args)
     print(graph_mod.layer_table(g))
     params = graph_mod.param_count(g)
     size = graph_mod.model_bytes(g)
@@ -231,7 +223,6 @@ def cmd_info(args) -> int:
     print(f"blas: {_blas_name()}, " + (f"{threads} threads" if threads is not None
                                        else "thread control unavailable"))
     if args.weights:
-        weights.load_weights_file(g, args.weights)
         print(f"weights: loaded {os.path.getsize(args.weights):,} bytes, "
               f"images_seen={g.images_seen}")
     return 0
@@ -339,6 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("size", "iters", "workers"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag} must be at least 1, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from . import tensor
 from .config import (Convolutional, LayerSpec, Maxpool, NetParams, Route,
                      Shortcut, Upsample, Yolo)
 from .tensor import FLOAT, ShapeError, conv_output_size
+from .weights import expected_file_size, layer_param_count
 
 NET_INPUT = -1
 
@@ -205,14 +206,12 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
 
 def param_count(graph: NetworkGraph) -> int:
     """Total stored reals: conv weights + biases + batch-norm triples."""
-    from .weights import layer_param_count
     return sum(layer_param_count(l.spec, l.in_channels) for l in graph.layers
                if isinstance(l.spec, Convolutional))
 
 
 def model_bytes(graph: NetworkGraph) -> int:
     """Size of the serialized weights file: 20-byte header + 4 per real."""
-    from .weights import expected_file_size
     return expected_file_size(graph)
 
 

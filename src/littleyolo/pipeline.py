@@ -9,12 +9,10 @@ independent logistic class probabilities (not a softmax).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .boxes import BBox, iou_matrix
-from .config import Yolo
 from .graph import NetworkGraph, forward
 from .tensor import FLOAT, ShapeError
 
@@ -30,19 +28,6 @@ MAX_LOG_SIZE = 300.0
 
 # default class-name tables by class count
 CLASS_NAMES = {2: ("car", "bus"), 3: ("car", "bus", "truck")}
-
-
-class AnchorSet(NamedTuple):
-    """Anchor (w, h) pairs in network-input pixels plus per-head masks.
-
-    masks are index tuples in detection-head order (coarse head first); they
-    must be disjoint. For the reference networks the coarse 13x13 head takes
-    the three largest anchors (3, 4, 5) and the fine 26x26 head the three
-    smallest (0, 1, 2).
-    """
-
-    anchors: tuple[tuple[float, float], ...]
-    masks: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -101,15 +86,8 @@ def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out.astype(FLOAT)
 
 
-def resize_nearest(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    c, h, w = x.shape
-    ys = np.clip(((np.arange(out_h) + 0.5) * (h / out_h)).astype(np.int64), 0, h - 1)
-    xs = np.clip(((np.arange(out_w) + 0.5) * (w / out_w)).astype(np.int64), 0, w - 1)
-    return np.ascontiguousarray(x[:, ys][:, :, xs], dtype=FLOAT)
-
-
-def letterbox(image: np.ndarray, net_w: int, net_h: int,
-              resample: str = "bilinear") -> tuple[np.ndarray, LetterboxTransform]:
+def letterbox(image: np.ndarray, net_w: int,
+              net_h: int) -> tuple[np.ndarray, LetterboxTransform]:
     """Aspect-preserving resize onto a gray canvas, centered.
 
     image: (3, H, W) float32 in [0, 1]. Returns the (3, net_h, net_w) network
@@ -125,10 +103,7 @@ def letterbox(image: np.ndarray, net_w: int, net_h: int,
     scale = min(net_w / w, net_h / h)
     scaled_w = max(1, round(w * scale))
     scaled_h = max(1, round(h * scale))
-    resize = resize_bilinear if resample == "bilinear" else resize_nearest
-    if resample not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown resample mode {resample!r}")
-    content = resize(image, scaled_h, scaled_w)
+    content = resize_bilinear(image, scaled_h, scaled_w)
     pad_x = (net_w - scaled_w) // 2
     pad_y = (net_h - scaled_h) // 2
     canvas = np.full((3, net_h, net_w), GRAY_FILL, dtype=FLOAT)
@@ -258,39 +233,28 @@ def nms(detections: list[Detection],
 def detect(graph: NetworkGraph, image: np.ndarray,
            conf_threshold: float = DEFAULT_CONF_THRESHOLD,
            nms_threshold: float = DEFAULT_NMS_THRESHOLD,
-           anchors: AnchorSet | None = None,
-           class_names: tuple[str, ...] | None = None,
-           resample: str = "bilinear") -> list[Detection]:
+           class_names: tuple[str, ...] | None = None) -> list[Detection]:
     """Full pipeline on one (3, H, W) float image in [0, 1].
 
-    Anchors and masks come from the graph's yolo layers unless an AnchorSet
-    override is given (its masks apply to heads in graph order). Returns
-    detections in original-image pixel coordinates.
+    Each head decodes with the anchors and mask of its own yolo layer.
+    Returns detections in original-image pixel coordinates.
     """
-    heads = [l for l in graph.layers if isinstance(l.spec, Yolo)]
+    heads = graph.yolo_layers
     if not heads:
         raise ShapeError("graph has no yolo layers to decode")
     classes = heads[0].spec.classes
     if any(l.spec.classes != classes for l in heads):
         raise ShapeError("yolo layers disagree on class count")
-    if anchors is not None and len(anchors.masks) != len(heads):
-        raise ShapeError(f"anchor set has {len(anchors.masks)} masks for "
-                         f"{len(heads)} heads")
     names = class_names or class_names_for(classes)
 
     _, net_h, net_w = graph.input_shape
-    tensor_in, transform = letterbox(image, net_w, net_h, resample=resample)
+    tensor_in, transform = letterbox(image, net_w, net_h)
     raw_heads = forward(graph, tensor_in)
 
     candidates: list[Detection] = []
-    for head_idx, layer in enumerate(heads):
-        spec = layer.spec
-        if anchors is None:
-            head_anchors, head_mask = spec.anchors, spec.mask
-        else:
-            head_anchors, head_mask = anchors.anchors, anchors.masks[head_idx]
-        raw = decode_yolo(raw_heads[layer.index], head_anchors, head_mask,
-                          net_w, net_h, classes)
+    for layer in heads:
+        raw = decode_yolo(raw_heads[layer.index], layer.spec.anchors,
+                          layer.spec.mask, net_w, net_h, classes)
         candidates.extend(filter_confidence(raw, conf_threshold, names))
     return unletterbox(nms(candidates, nms_threshold), transform)
 

@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from .config import Convolutional
 from .rng import uniform_stream
 from .tensor import BN_EPSILON, FLOAT, BatchNorm, ConvParams
 
@@ -33,7 +34,6 @@ class WeightsError(ValueError):
 
 
 def _conv_layers(graph):
-    from .config import Convolutional  # local import avoids a cycle at import time
     for layer in graph.layers:
         if isinstance(layer.spec, Convolutional):
             yield layer

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from littleyolo.anchors import (ClusterResult, anchors_line, cluster_anchors,
-                                dims_from_coco_json, dims_from_voc_dir,
-                                kmeanspp_seed, lloyd_cluster, load_dims,
-                                mean_iou_report, wh_iou)
-from littleyolo.pipeline import AnchorSet
+from littleyolo.anchors import (AnchorSet, ClusterResult, anchors_line,
+                                cluster_anchors, dims_from_coco_json,
+                                dims_from_voc_dir, kmeanspp_seed, lloyd_cluster,
+                                load_dims, mean_iou_report, wh_iou)
 
 
 def six_cluster_corpus(rng, per_cluster=300, jitter=0.05):

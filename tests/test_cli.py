@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, TINY_CFG,
                       craft_planted_params, write_ppm_image)
-from littleyolo import cli, tensor
+from littleyolo import cli, pipeline, tensor
 from littleyolo.cli import main
 from littleyolo.config import (load_config, lower_to_specs, parse_config,
                                reference_config_path)
@@ -116,11 +116,32 @@ class TestDetect:
         assert len(doc["detections"]) == 1
         assert (out_dir / "scene.annotated.ppm").exists()
 
-    def test_annotate_without_output_fails(self, capsys, tiny_setup):
+    def test_annotate_without_output_fails(self, capsys, tiny_setup, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "detect", lambda *a, **k: calls.append(a))
         code, _, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
                                "--weights", tiny_setup["weights"],
                                "--input", tiny_setup["image"], "--annotate")
         assert code == 1 and "annotate" in err
+        assert calls == []
+
+    def test_file_and_directory_input_write_the_same_files(self, capsys, tiny_setup):
+        d = tiny_setup["dir"] / "one"
+        d.mkdir()
+        image = d / "scene.ppm"
+        image.write_bytes(Path(tiny_setup["image"]).read_bytes())
+        outs = []
+        for sub, source in (("A", image), ("B", d)):
+            out_dir = tiny_setup["dir"] / sub
+            code, _, _ = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", str(source), "--output", str(out_dir),
+                                 "--annotate")
+            assert code == 0
+            outs.append(out_dir)
+        for name in ("scene.json", "scene.annotated.ppm"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert len(json.loads((outs[0] / "scene.json").read_text())["detections"]) == 1
 
     def test_directory_requires_output(self, capsys, tiny_setup):
         code, _, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
@@ -300,6 +321,32 @@ class TestDetect:
                                "--input", str(d), "--output",
                                str(tiny_setup["dir"] / "out"))
         assert code == 1 and "index.ppm" in err and "index.json" in err
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("size", ["0", "-416"])
+    @pytest.mark.parametrize("command", ["info", "detect", "bench", "anchors"])
+    def test_size_below_one_rejected(self, capsys, tiny_setup, command, size):
+        argv = {"info": ["info"],
+                "detect": ["detect", "--weights", tiny_setup["weights"],
+                           "--input", tiny_setup["image"]],
+                "bench": ["bench", "--weights", tiny_setup["weights"],
+                          "--input", tiny_setup["image"]],
+                "anchors": ["anchors", "--input", str(tiny_setup["dir"])]}[command]
+        code, out, err = run_cli(capsys, *argv, "--size", size)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: --size must be at least 1, got {size}"
+
+    @pytest.mark.parametrize("iters", ["0", "-2"])
+    def test_bench_iters_below_one_rejected(self, capsys, tiny_setup, monkeypatch, iters):
+        calls = []
+        monkeypatch.setattr(pipeline, "detect", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "bench", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", tiny_setup["image"], "--iters", iters)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: --iters must be at least 1, got {iters}"
+        assert calls == []
 
 
 class TestAnchors:

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, PLANTED_SIGMA9,
                       planted_image)
 from littleyolo.boxes import BBox, iou
-from littleyolo.pipeline import (AnchorSet, Detection, LetterboxTransform,
+from littleyolo.pipeline import (Detection, LetterboxTransform,
                                  RawDetections, decode_yolo, detect,
                                  detection_to_dict, filter_confidence,
-                                 letterbox, nms, resize_bilinear,
-                                 resize_nearest, unletterbox)
+                                 letterbox, nms, resize_bilinear, unletterbox)
 from littleyolo.tensor import ShapeError
 from littleyolo.weights import init_random
 from oracles import nms_oracle
@@ -31,11 +30,6 @@ class TestResize:
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, (3, 7, 9)).astype(np.float32)
         np.testing.assert_array_equal(resize_bilinear(x, 7, 9), x)
-
-    def test_integer_upscale_nearest(self):
-        x = np.array([[[0.0, 1.0]]], dtype=np.float32)
-        out = resize_nearest(x, 1, 4)
-        np.testing.assert_array_equal(out, [[[0, 0, 1, 1]]])
 
     def test_bilinear_midpoint(self):
         x = np.array([[[0.0, 1.0]]], dtype=np.float32)
@@ -82,10 +76,6 @@ class TestLetterbox:
     def test_bad_shape(self):
         with pytest.raises(ShapeError):
             letterbox(np.zeros((416, 416, 3), np.float32), 416, 416)
-
-    def test_bad_resample(self):
-        with pytest.raises(ValueError, match="resample"):
-            letterbox(np.zeros((3, 4, 4), np.float32), 8, 8, resample="bicubic")
 
     @given(st.integers(5, 200), st.integers(5, 200))
     @settings(max_examples=60, deadline=None)
@@ -334,18 +324,6 @@ class TestDetect:
         init_random(tiny_graph, seed=21)
         img = np.random.default_rng(5).uniform(0, 1, (3, 32, 32)).astype(np.float32)
         assert detect(tiny_graph, img) == detect(tiny_graph, img)
-
-    def test_anchor_override_mask_count_checked(self, planted_tiny):
-        bad = AnchorSet(anchors=((4, 4),), masks=((0,),))
-        with pytest.raises(ShapeError, match="masks"):
-            detect(planted_tiny, planted_image(), anchors=bad)
-
-    def test_anchor_override_applies(self, planted_tiny):
-        # same anchors, same masks, spelled explicitly -> identical result
-        override = AnchorSet(anchors=((4, 4), (6, 6), (8, 8), (16, 16)),
-                             masks=((2, 3), (0, 1)))
-        assert detect(planted_tiny, planted_image(), anchors=override) == \
-            detect(planted_tiny, planted_image())
 
     def test_headless_graph_rejected(self):
         from littleyolo.config import Convolutional, NetParams
