@@ -334,6 +334,13 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {value}")
+        # written as not (lo <= v <= hi) so that nan fails too
+        for flag, in_range, span in (("iou", lambda v: 0 <= v <= 1, "[0, 1]"),
+                                     ("conf", lambda v: 0 <= v < 1, "[0, 1)"),
+                                     ("nms", lambda v: 0 <= v <= 1, "[0, 1]")):
+            value = getattr(args, flag, None)
+            if value is not None and not in_range(value):
+                raise ValueError(f"--{flag} must be in {span}, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles (nested loops,
 finite differences, direct enumeration) and deliberately shares no code with
-the package. The seed forward-pass kernels at the end are the exception: they
-keep the package's first implementation, and reuse its unchanged kernels.
+the package. The seed forward-pass and resize kernels at the end are the
+exception: they keep the package's first implementation, and reuse its
+unchanged kernels.
 """
 
 import numpy as np
@@ -230,9 +231,10 @@ def ap_bruteforce(predictions, ground_truths, iou_threshold, interpolation="all"
 
 # ------------------------------------------------- seed forward-pass kernels
 #
-# The convolution, pooling and forward loop as first written: a float32
-# im2col cast to float64, a BN epilogue that allocates, a size x size pool
-# loop, and a forward pass that keeps every layer's output. The fast path in
+# The convolution, pooling, letterbox resize and forward loop as first
+# written: a float32 im2col cast to float64, a BN epilogue that allocates, a
+# resize that widens the whole source first, a size x size pool loop, and a
+# forward pass that keeps every layer's output. The fast path in
 # the package must reproduce their outputs bit for bit.
 
 def conv2d_seed(x, params):
@@ -265,6 +267,20 @@ def conv2d_seed(x, params):
     else:
         out = out + bias
     return out.reshape(params.filters, oh, ow).astype(np.float32)
+
+
+def resize_bilinear_seed(x, out_h, out_w):
+    """Separable bilinear resize of a (C, H, W) map, half-pixel convention,
+    on a float64 copy of the whole source. Returns float32."""
+    from littleyolo.pipeline import _resize_axis_indices
+
+    c, h, w = x.shape
+    ylo, yhi, yf = _resize_axis_indices(out_h, h)
+    xlo, xhi, xf = _resize_axis_indices(out_w, w)
+    x = x.astype(np.float64)
+    rows = x[:, ylo, :] * (1 - yf)[None, :, None] + x[:, yhi, :] * yf[None, :, None]
+    out = rows[:, :, xlo] * (1 - xf)[None, None, :] + rows[:, :, xhi] * xf[None, None, :]
+    return out.astype(np.float32)
 
 
 def maxpool_seed(x, size, stride, padding):

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, TINY_CFG,
                       craft_planted_params, write_ppm_image)
-from littleyolo import cli, pipeline, tensor
+from littleyolo import cli, pipeline, tensor, weights
+from littleyolo import evaluate as eval_mod
 from littleyolo.cli import main
 from littleyolo.config import (load_config, lower_to_specs, parse_config,
                                reference_config_path)
@@ -294,6 +295,19 @@ class TestDetect:
         monkeypatch.setattr(tensor, "_openblas", lambda: None)
         assert detect("w2_no_control", "2") == serial
 
+    def test_bbox_corners_are_floats(self, capsys, tmp_path, ref_weights_416):
+        # Random 416 weights give boxes far past the image, so most corners
+        # are clamped to its edges; those must stay floats like the rest.
+        rng = np.random.default_rng(5)
+        img = write_ppm_image(tmp_path / "noise.ppm",
+                              rng.integers(0, 256, (48, 64, 3)).astype(np.uint8))
+        code, out, _ = run_cli(capsys, "detect", "--weights", str(ref_weights_416),
+                               "--input", str(img))
+        assert code == 0
+        corners = [v for d in json.loads(out)["detections"] for v in d["bbox"].values()]
+        assert 64.0 in corners and 48.0 in corners
+        assert all(type(v) is float for v in corners)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_output_name_collision_fails_before_detecting(self, capsys, tiny_setup,
                                                           workers):
@@ -347,6 +361,51 @@ class TestCountFlags:
         assert code == 1 and out == ""
         assert err.strip() == f"error: --iters must be at least 1, got {iters}"
         assert calls == []
+
+
+class TestThresholdFlags:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Record every weights load, detect and evaluate call."""
+        calls = []
+        for module, name in ((weights, "load_weights_file"), (pipeline, "detect"),
+                             (eval_mod, "evaluation_report")):
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        return calls
+
+    @pytest.mark.parametrize("flag, value, span", [
+        ("conf", "-0.1", "[0, 1)"), ("conf", "1", "[0, 1)"), ("conf", "nan", "[0, 1)"),
+        ("nms", "-0.1", "[0, 1]"), ("nms", "1.5", "[0, 1]"), ("nms", "nan", "[0, 1]"),
+    ])
+    def test_detect_threshold_out_of_range(self, capsys, tiny_setup, no_work,
+                                           flag, value, span):
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", tiny_setup["image"], f"--{flag}", value)
+        assert code == 1 and out == ""
+        assert err.strip() == (f"error: --{flag} must be in {span}, "
+                               f"got {float(value)}")
+        assert no_work == []
+
+    @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+    def test_eval_iou_out_of_range(self, capsys, tmp_path, no_work, value):
+        gt, preds = tmp_path / "gt.txt", tmp_path / "preds.txt"
+        gt.write_text("img1 car 0 0 10 10\n")
+        preds.write_text("img1 car 0.9 0 0 10 10\n")
+        code, out, err = run_cli(capsys, "eval", "--gt", str(gt),
+                                 "--preds", str(preds), "--iou", value)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: --iou must be in [0, 1], got {float(value)}"
+        assert no_work == []
+
+    @pytest.mark.parametrize("flag, value", [("conf", "0"), ("conf", "0.999"),
+                                             ("nms", "0"), ("nms", "1")])
+    def test_detect_threshold_edges_accepted(self, capsys, tiny_setup, flag, value):
+        code, _, _ = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                             "--weights", tiny_setup["weights"],
+                             "--input", tiny_setup["image"], f"--{flag}", value)
+        assert code == 0
 
 
 class TestAnchors:

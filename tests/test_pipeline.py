@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, PLANTED_SIGMA9,
                       planted_image)
+from littleyolo import pipeline
 from littleyolo.boxes import BBox, iou
 from littleyolo.pipeline import (Detection, LetterboxTransform,
                                  RawDetections, decode_yolo, detect,
@@ -16,7 +18,7 @@ from littleyolo.pipeline import (Detection, LetterboxTransform,
                                  letterbox, nms, resize_bilinear, unletterbox)
 from littleyolo.tensor import ShapeError
 from littleyolo.weights import init_random
-from oracles import nms_oracle
+from oracles import nms_oracle, resize_bilinear_seed
 
 
 def make_det(box, conf, class_id=0):
@@ -42,6 +44,15 @@ class TestResize:
         x = rng.uniform(0, 1, (3, 11, 5)).astype(np.float32)
         out = resize_bilinear(x, 23, 17)
         assert out.min() >= 0 and out.max() <= 1
+
+    @given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_seed_resize(self, c, h, w, out_h, out_w, seed):
+        # the float32 source is widened per gathered row, not copied whole
+        x = np.random.default_rng(seed).uniform(0, 1, (c, h, w)).astype(np.float32)
+        np.testing.assert_array_equal(resize_bilinear(x, out_h, out_w),
+                                      resize_bilinear_seed(x, out_h, out_w))
 
 
 class TestLetterbox:
@@ -214,7 +225,7 @@ class TestNMS:
         # b overlaps a (kept) -> b dies; c only overlapped b -> c survives
         a = make_det((0, 0, 10, 10), 0.9)
         b = make_det((4, 0, 14, 10), 0.8)    # iou(a,b) = 60/140 > 0.42
-        c = make_det((9, 0, 19, 10), 0.7)    # iou(a,c) = 10/190, iou(b,c) = 1/3
+        c = make_det((7, 0, 17, 10), 0.7)    # iou(a,c) = 30/170, iou(b,c) = 70/130
         kept = nms([a, b, c], 0.42)
         assert kept == [a, c]
 
@@ -248,6 +259,16 @@ float_rows = st.lists(st.tuples(st.floats(0, 50), st.floats(0, 50),
                                 st.floats(0, 20), st.floats(0, 20),
                                 st.floats(0.01, 1), st.integers(0, 2)),
                       max_size=30)
+# overlapping runs along one row: a box suppressed by a kept one often
+# overlaps a later box that must survive
+line_rows = st.lists(st.tuples(st.integers(0, 20), st.just(0), st.just(10), st.just(10),
+                               st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 1)),
+                     max_size=30)
+# random-weight heads give boxes this large
+huge_rows = st.lists(st.tuples(st.floats(0, 1e62), st.floats(0, 1e62),
+                               st.floats(0, 1e62), st.floats(0, 1e62),
+                               st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 3)),
+                     max_size=30)
 
 
 class TestNMSAgainstOracle:
@@ -258,6 +279,21 @@ class TestNMSAgainstOracle:
         dets = [make_det((x, y, x + w, y + h), c, cls)
                 for x, y, w, h, c, cls in rows]
         got = nms(dets, threshold)
+        want = nms_oracle(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @given(st.one_of(grid_rows, float_rows, line_rows, huge_rows),
+           st.sampled_from([1.0, 1e61]),
+           st.sampled_from([0.0, 0.45, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_small_blocks(self, block, rows, scale, threshold):
+        # small blocks put runs of tied confidences and of one class's
+        # members across block edges
+        dets = [make_det((x * scale, y * scale, (x + w) * scale, (y + h) * scale), c, cls)
+                for x, y, w, h, c, cls in rows]
+        with mock.patch.object(pipeline, "NMS_BLOCK", block):
+            got = nms(dets, threshold)
         want = nms_oracle(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
 
@@ -324,6 +360,23 @@ class TestDetect:
         init_random(tiny_graph, seed=21)
         img = np.random.default_rng(5).uniform(0, 1, (3, 32, 32)).astype(np.float32)
         assert detect(tiny_graph, img) == detect(tiny_graph, img)
+
+    def test_nms_called_through_module(self, planted_tiny, monkeypatch):
+        # perfbench's exact NMS check hooks pipeline.nms by this name and
+        # reads its first argument
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return args[0] * 2
+
+        monkeypatch.setattr(pipeline, "nms", spy)
+        dets = detect(planted_tiny, planted_image(), nms_threshold=0.3)
+        (candidates, threshold), = calls
+        assert type(candidates) is list and len(candidates) == 1
+        assert isinstance(candidates[0], Detection) and threshold == 0.3
+        assert len(dets) == 2 and dets[0] == dets[1]
+        np.testing.assert_allclose(tuple(dets[0].bbox), PLANTED_BOX, atol=1e-5)
 
     def test_headless_graph_rejected(self):
         from littleyolo.config import Convolutional, NetParams
