@@ -12,13 +12,14 @@ reproducible across platforms for a given seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import parse_voc_xml
+from .evaluate import parse_voc_xml, voc_bndbox
 from .rng import SplitMix64
 
 DISTANCES = ("one_minus_iou", "euclidean")
@@ -61,21 +62,24 @@ def kmeanspp_seed(dims: np.ndarray, k: int, seed: int,
                   distance: str = "one_minus_iou") -> np.ndarray:
     """k-means++ initial centroids: first uniform, the rest D^2-weighted."""
     dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
-    distinct = np.unique(dims, axis=0)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(distinct):
-        raise ValueError(f"k = {k} exceeds the {len(distinct)} distinct box "
+    ordered = dims[np.lexsort((dims[:, 1], dims[:, 0]))]  # as np.unique(axis=0) counts
+    distinct = min(len(dims), 1) + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
+    if k > distinct:
+        raise ValueError(f"k = {k} exceeds the {distinct} distinct box "
                          "dimensions available")
     rng = SplitMix64(seed)
     centroids = [dims[rng.next_index(len(dims))]]
+    nearest = np.full(len(dims), np.inf)  # running min over centroids; np.minimum is exact
     while len(centroids) < k:
-        d = _distance_matrix(dims, np.array(centroids), distance).min(axis=1)
-        weights = d * d
+        nearest = np.minimum(nearest, _distance_matrix(dims, centroids[-1][None], distance)[:, 0])
+        weights = nearest * nearest
         total = weights.sum()
         if total <= 0:
             # all points coincide with a centroid; pick any non-centroid point
-            fresh = [p for p in distinct if not any(np.array_equal(p, c) for c in centroids)]
+            fresh = [p for p in np.unique(dims, axis=0)
+                     if not any(np.array_equal(p, c) for c in centroids)]
             centroids.append(fresh[rng.next_index(len(fresh))])
             continue
         target = rng.next_float() * total
@@ -106,26 +110,27 @@ def lloyd_cluster(dims: np.ndarray, k: int, distance: str = "one_minus_iou",
     if len(dims) == 0:
         raise ValueError("no box dimensions to cluster")
     centroids = kmeanspp_seed(dims, k, seed, distance)
+    rows = np.arange(len(dims))
     d = _distance_matrix(dims, centroids, distance)
     assign = d.argmin(axis=1)
-    costs = [float(d[np.arange(len(dims)), assign].sum())]
+    costs = [float(d[rows, assign].sum())]
     for iteration in range(1, max_iters + 1):
         new_centroids = centroids.copy()
         for c in range(k):
             members = dims[assign == c]
             if len(members):
                 new_centroids[c] = members.mean(axis=0)
-        # repair empty clusters from the farthest points
         d = _distance_matrix(dims, new_centroids, distance)
-        nearest = d.min(axis=1)
-        for c in range(k):
-            if not np.any(d.argmin(axis=1) == c):
-                far = int(nearest.argmax())
-                new_centroids[c] = dims[far]
-                d = _distance_matrix(dims, new_centroids, distance)
-                nearest = d.min(axis=1)
         new_assign = d.argmin(axis=1)
-        new_cost = float(d[np.arange(len(dims)), new_assign].sum())
+        if not np.bincount(new_assign, minlength=k).all():
+            # repair empty clusters from the farthest points (d at argmin = d.min)
+            for c in range(k):
+                if not np.any(new_assign == c):
+                    far = int(d[rows, new_assign].argmax())
+                    new_centroids[c] = dims[far]
+                    d = _distance_matrix(dims, new_centroids, distance)
+                    new_assign = d.argmin(axis=1)
+        new_cost = float(d[rows, new_assign].sum())
         if new_cost > costs[-1]:
             break  # mean updates under the IoU distance are a heuristic
         fixpoint = np.array_equal(new_assign, assign)
@@ -206,6 +211,8 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
             img_h = float(size.findtext("height", "0"))
         except ValueError as exc:
             raise ValueError(f"{f}: <size>: {exc}") from None
+        if not (math.isfinite(img_w) and math.isfinite(img_h)):
+            raise ValueError(f"{f}: <size>: {img_w} x {img_h} is not finite")
         for i, obj in enumerate(root.iter("object")):
             if class_names is not None:
                 name = (obj.findtext("name") or "").strip()
@@ -214,12 +221,8 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
             box = obj.find("bndbox")
             if box is None:
                 continue
-            try:
-                w = float(box.findtext("xmax", "0")) - float(box.findtext("xmin", "0"))
-                h = float(box.findtext("ymax", "0")) - float(box.findtext("ymin", "0"))
-            except ValueError as exc:
-                raise ValueError(f"{f}: object {i}: {exc}") from None
-            wh = _normalize(w, h, img_w, img_h)
+            x1, y1, x2, y2 = voc_bndbox(f, i, box)
+            wh = _normalize(x2 - x1, y2 - y1, img_w, img_h)
             if wh:
                 out.append(wh)
     return np.array(out, dtype=np.float64).reshape(-1, 2)
@@ -231,19 +234,25 @@ def dims_from_coco_json(path, class_names: set[str] | None = None) -> np.ndarray
         doc = json.load(fh)
     images = {img["id"]: (float(img["width"]), float(img["height"]))
               for img in doc.get("images", [])}
+    for image_id, (img_w, img_h) in images.items():
+        if not (math.isfinite(img_w) and math.isfinite(img_h)):
+            raise ValueError(f"{path}: image {image_id}: size {img_w} x {img_h} is not finite")
     wanted = None
     if class_names is not None:
         wanted = {cat["id"] for cat in doc.get("categories", [])
                   if cat.get("name") in class_names}
     out = []
-    for ann in doc.get("annotations", []):
+    for i, ann in enumerate(doc.get("annotations", [])):
         if wanted is not None and ann.get("category_id") not in wanted:
             continue
         if ann.get("image_id") not in images:
             continue
         img_w, img_h = images[ann["image_id"]]
         _, _, w, h = ann["bbox"]
-        wh = _normalize(float(w), float(h), img_w, img_h)
+        w, h = float(w), float(h)
+        if not (math.isfinite(w) and math.isfinite(h)):
+            raise ValueError(f"{path}: annotation {i}: bbox size {w} x {h} is not finite")
+        wh = _normalize(w, h, img_w, img_h)
         if wh:
             out.append(wh)
     return np.array(out, dtype=np.float64).reshape(-1, 2)

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("size", "iters", "workers"):
+        for flag in ("size", "iters", "workers", "k", "restarts"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {value}")

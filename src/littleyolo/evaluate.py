@@ -13,6 +13,7 @@ precision envelope); the older 11-point average is available as an option.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,15 +185,25 @@ def _gt_from_voc_dir(p: Path) -> list[GroundTruth]:
             box = obj.find("bndbox")
             if box is None:
                 continue
-            try:
-                bbox = BBox(float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
-                            float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
-            except ValueError as exc:
-                raise ValueError(f"{f}: object {i}: {exc}") from None
+            bbox = BBox(*voc_bndbox(f, i, box))
             difficult = (obj.findtext("difficult") or "0").strip() == "1"
             name = (obj.findtext("name") or "object").strip()
             out.append(GroundTruth(image_id, name, bbox, difficult))
     return out
+
+
+def voc_bndbox(f: Path, i: int, box: ET.Element) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) of object i's <bndbox> in VOC file f; a value
+    that is not a finite number raises ValueError naming the file and object."""
+    try:
+        corners = (float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
+                   float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
+    except ValueError as exc:
+        raise ValueError(f"{f}: object {i}: {exc}") from None
+    if not all(map(math.isfinite, corners)):
+        raise ValueError(f"{f}: object {i}: <bndbox> (xmin, ymin, xmax, ymax) = "
+                         f"{corners} is not finite")
+    return corners
 
 
 def parse_voc_xml(f: Path) -> ET.Element:

@@ -2,9 +2,9 @@
 
 Everything here recomputes results from first principles (nested loops,
 finite differences, direct enumeration) and deliberately shares no code with
-the package. The seed forward-pass and resize kernels at the end are the
-exception: they keep the package's first implementation, and reuse its
-unchanged kernels.
+the package. The seed forward-pass, resize and anchor-clustering code at the
+end is the exception: it keeps the package's first implementation, and
+reuses its unchanged kernels.
 """
 
 import numpy as np
@@ -340,3 +340,80 @@ def forward_seed(graph, x):
             heads[layer.index] = out
         outputs.append(out)
     return heads
+
+
+# ------------------------------------------------------ seed anchor clustering
+#
+# k-means++ seeding and Lloyd iterations as first written: the seeding
+# rebuilds the whole (N, centroids so far) distance matrix at every step and
+# counts distinct rows with np.unique on every call; the Lloyd loop takes one
+# argmin per cluster per iteration to look for empty clusters. They reuse
+# the package's distance kernel and random stream, which are unchanged. The
+# package's seeding and Lloyd loop must reproduce them bit for bit.
+
+def kmeanspp_oracle(dims, k, seed, distance="one_minus_iou"):
+    """k-means++ initial centroids: first uniform, the rest D^2-weighted."""
+    from littleyolo.anchors import _distance_matrix
+    from littleyolo.rng import SplitMix64
+
+    dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
+    distinct = np.unique(dims, axis=0)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > len(distinct):
+        raise ValueError(f"k = {k} exceeds the {len(distinct)} distinct box "
+                         "dimensions available")
+    rng = SplitMix64(seed)
+    centroids = [dims[rng.next_index(len(dims))]]
+    while len(centroids) < k:
+        d = _distance_matrix(dims, np.array(centroids), distance).min(axis=1)
+        weights = d * d
+        total = weights.sum()
+        if total <= 0:
+            # all points coincide with a centroid; pick any non-centroid point
+            fresh = [p for p in distinct if not any(np.array_equal(p, c) for c in centroids)]
+            centroids.append(fresh[rng.next_index(len(fresh))])
+            continue
+        target = rng.next_float() * total
+        idx = int(np.searchsorted(np.cumsum(weights), target, side="right"))
+        centroids.append(dims[min(idx, len(dims) - 1)])
+    return np.array(centroids)
+
+
+def lloyd_cluster_oracle(dims, k, distance="one_minus_iou", seed=0, max_iters=100):
+    """Lloyd iterations from kmeanspp_oracle; returns an anchors.ClusterResult."""
+    from littleyolo.anchors import ClusterResult, _distance_matrix
+
+    dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
+    if len(dims) == 0:
+        raise ValueError("no box dimensions to cluster")
+    centroids = kmeanspp_oracle(dims, k, seed, distance)
+    d = _distance_matrix(dims, centroids, distance)
+    assign = d.argmin(axis=1)
+    costs = [float(d[np.arange(len(dims)), assign].sum())]
+    for iteration in range(1, max_iters + 1):
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = dims[assign == c]
+            if len(members):
+                new_centroids[c] = members.mean(axis=0)
+        # repair empty clusters from the farthest points
+        d = _distance_matrix(dims, new_centroids, distance)
+        nearest = d.min(axis=1)
+        for c in range(k):
+            if not np.any(d.argmin(axis=1) == c):
+                far = int(nearest.argmax())
+                new_centroids[c] = dims[far]
+                d = _distance_matrix(dims, new_centroids, distance)
+                nearest = d.min(axis=1)
+        new_assign = d.argmin(axis=1)
+        new_cost = float(d[np.arange(len(dims)), new_assign].sum())
+        if new_cost > costs[-1]:
+            break
+        fixpoint = np.array_equal(new_assign, assign)
+        centroids, assign = new_centroids, new_assign
+        costs.append(new_cost)
+        if fixpoint:
+            break
+    return ClusterResult(centroids=centroids, assignments=assign,
+                         costs=tuple(costs), iterations=len(costs) - 1)

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from littleyolo import anchors
 from littleyolo.anchors import (AnchorSet, ClusterResult, anchors_line,
                                 cluster_anchors, dims_from_coco_json,
                                 dims_from_voc_dir, kmeanspp_seed, lloyd_cluster,
                                 load_dims, mean_iou_report, wh_iou)
+from oracles import kmeanspp_oracle, lloyd_cluster_oracle
 
 
 def six_cluster_corpus(rng, per_cluster=300, jitter=0.05):
@@ -81,6 +85,26 @@ class TestSeeding:
             kmeanspp_seed(np.ones((4, 2)), 0, seed=0)
 
 
+    def test_k_beyond_distinct_raises_before_any_distance(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(anchors, "_distance_matrix", lambda *a: calls.append(a))
+        dims = np.random.default_rng(6).uniform(0.01, 1.0, (100, 2))
+        with pytest.raises(ValueError, match="distinct"):
+            kmeanspp_seed(dims, 10**6, seed=0)
+        assert calls == []
+
+    def test_all_coincide_fallback_matches_oracle(self):
+        # squared euclidean distances of 1e-200 underflow to 0, so the D^2
+        # weights sum to 0 and the later centroids come from the fallback,
+        # which draws among distinct rows, not among duplicates
+        dims = np.array([[3e-200, 3e-200]] * 3 + [[1e-200, 1e-200]] * 3
+                        + [[2e-200, 2e-200]])
+        for seed in range(12):
+            seeds = kmeanspp_seed(dims, 3, seed, "euclidean")
+            np.testing.assert_array_equal(seeds, kmeanspp_oracle(dims, 3, seed, "euclidean"))
+            assert len(np.unique(seeds, axis=0)) == 3
+
+
 class TestLloyd:
     def test_single_cluster_mean(self):
         # k = 1 with euclidean distance converges to the arithmetic mean
@@ -126,6 +150,82 @@ class TestLloyd:
         assert res.assignments.shape == (len(dims),)
         assert set(res.assignments) <= {0, 1, 2}
         assert res.iterations == len(res.costs) - 1
+
+
+def assert_same_cluster(got, want):
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    # costs are NaN where 0/0 IoUs are; assert_array_equal counts NaN == NaN
+    np.testing.assert_array_equal(np.array(got.costs), np.array(want.costs))
+    assert got.iterations == want.iterations
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# a few values per axis give duplicate boxes and argmin ties; the tiny grid
+# gives squared distances that underflow to 0 (the all-coincide fallback)
+# and 0/0 IoUs (NaN distances)
+GRIDS = ((0.1, 0.2, 0.25, 0.5, 1.0), (1e-200, 2e-200, 3e-200, 0.5))
+
+
+class TestAgainstOracles:
+    @given(st.sampled_from(GRIDS), st.sampled_from(anchors.DISTANCES), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_seed_lloyd_and_anchors_match(self, grid, distance, data):
+        values = st.sampled_from(grid)
+        dims = np.array(data.draw(st.lists(st.tuples(values, values), min_size=1,
+                                           max_size=30)))
+        k = data.draw(st.integers(1, len(np.unique(dims, axis=0)) + 1))
+        seed = data.draw(st.integers(0, 2**32))
+        seeds = outcome(kmeanspp_seed, dims, k, seed, distance)
+        want = outcome(kmeanspp_oracle, dims, k, seed, distance)
+        if isinstance(want, str):
+            assert seeds == want
+            return
+        np.testing.assert_array_equal(seeds, want)
+        assert_same_cluster(lloyd_cluster(dims, k, distance, seed),
+                            lloyd_cluster_oracle(dims, k, distance, seed))
+        got = cluster_anchors(dims, k, distance, seed, restarts=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anchors, "lloyd_cluster", lloyd_cluster_oracle)
+            want = cluster_anchors(dims, k, distance, seed, restarts=3)
+        np.testing.assert_array_equal(got.anchors, want.anchors)
+        assert got.masks == want.masks
+
+    @pytest.mark.parametrize("distance", anchors.DISTANCES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_six_cluster_corpus_matches(self, distance, seed):
+        _, dims = six_cluster_corpus(np.random.default_rng(seed % 97), 60)
+        for k in (1, 2, 6, 9):
+            np.testing.assert_array_equal(kmeanspp_seed(dims, k, seed, distance),
+                                          kmeanspp_oracle(dims, k, seed, distance))
+        assert_same_cluster(lloyd_cluster(dims, 6, distance, seed),
+                            lloyd_cluster_oracle(dims, 6, distance, seed))
+
+    def test_empty_cluster_repair_matches_oracle(self, monkeypatch):
+        # the first mean update leaves a cluster empty on this corpus, and the
+        # box farthest from its nearest centroid is not the one farthest
+        # from all centroids
+        dims = np.array([[0.25, 0.5], [0.1, 0.1], [0.25, 0.1], [0.5, 0.1],
+                         [0.25, 0.2], [0.2, 1.0], [1.0, 0.1]])
+        want = lloyd_cluster_oracle(dims, 3, "one_minus_iou", 10)
+        real, widths = anchors._distance_matrix, []
+
+        def spy(d, centroids, distance):
+            widths.append(len(centroids))
+            return real(d, centroids, distance)
+
+        monkeypatch.setattr(anchors, "_distance_matrix", spy)
+        got = lloyd_cluster(dims, 3, "one_minus_iou", 10)
+        # one full matrix after seeding and one per loop pass; more means repairs
+        assert widths.count(3) > 2 + got.iterations
+        assert_same_cluster(got, want)
 
 
 class TestClusterAnchors:
@@ -261,6 +361,27 @@ class TestIngestion:
                                             ("car", 0, 0, 0, 10, 10)])
         dims = dims_from_voc_dir(tmp_path)
         assert dims.shape == (1, 2)  # zero-width box dropped
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_voc_non_finite_size(self, tmp_path, value):
+        write_voc(tmp_path, "a", value, 100, [("car", 0, 0, 0, 10, 10)])
+        with pytest.raises(ValueError, match=r"a\.xml: <size>: .* is not finite"):
+            dims_from_voc_dir(tmp_path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_coco_non_finite_values(self, tmp_path, value):
+        base = {"images": [{"id": 1, "width": 100, "height": 100}],
+                "annotations": [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]},
+                                {"image_id": 1, "category_id": 1, "bbox": [0, 0, value, 10]}]}
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(base))
+        with pytest.raises(ValueError, match=r"ann\.json: annotation 1: bbox size"):
+            dims_from_coco_json(path)
+        base["images"][0]["height"] = value
+        path.write_text(json.dumps(base))
+        with pytest.raises(ValueError, match=r"ann\.json: image 1: size"):
+            dims_from_coco_json(path)
 
 
 class TestEndToEndRecovery:

@@ -363,6 +363,19 @@ class TestCountFlags:
         assert calls == []
 
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["k", "restarts"])
+    def test_anchors_counts_below_one_rejected_before_loading(
+            self, capsys, tiny_setup, monkeypatch, flag, value):
+        calls = []
+        monkeypatch.setattr(cli.anchor_mod, "load_dims", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, "anchors", "--input", str(tiny_setup["dir"]),
+                                 f"--{flag}", value)
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: --{flag} must be at least 1, got {value}"
+        assert calls == []
+
+
 class TestThresholdFlags:
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -596,6 +609,19 @@ class TestAnnotationInputErrors:
         assert code == 1
         assert err.strip() == (f"error: {d / 'bad.xml'}: object 1: "
                                f"could not convert string to float: 'abc'")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["eval", "anchors"])
+    def test_non_finite_voc_coordinate(self, capsys, tmp_path, command, value):
+        d = tmp_path / "ann"
+        d.mkdir()
+        write_voc(d, "good", 100, 100, [("car", 0, 0, 0, 10, 10)])
+        write_voc(d, "bad", 100, 100, [("car", 0, 0, 0, 10, 10),
+                                       ("car", 0, 5, 5, value, 50)])
+        code, _, err = self._run_on_voc(capsys, tmp_path, command, d)
+        assert code == 1
+        assert err.strip() == (f"error: {d / 'bad.xml'}: object 1: <bndbox> (xmin, ymin, "
+                               f"xmax, ymax) = (5.0, 5.0, {float(value)}, 50.0) is not finite")
 
     @pytest.mark.parametrize("doc, message", [
         ({"image": "scene.ppm"}, "missing key 'detections'"),
