@@ -163,17 +163,21 @@ def mse(y: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU for corner-form box arrays a (N,4) and b (M,4) -> (N,M)."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    """Pairwise IoU for corner-form box arrays a (..., N, 4) and b (..., M, 4)
+    -> (..., N, M); leading dimensions broadcast, and a flat sequence of
+    boxes counts as (N, 4)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = a.reshape(-1, 4) if a.ndim < 2 else a
+    b = b.reshape(-1, 4) if b.ndim < 2 else b
+    ix1 = np.maximum(a[..., :, None, 0], b[..., None, :, 0])
+    iy1 = np.maximum(a[..., :, None, 1], b[..., None, :, 1])
+    ix2 = np.minimum(a[..., :, None, 2], b[..., None, :, 2])
+    iy2 = np.minimum(a[..., :, None, 3], b[..., None, :, 3])
     inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(union > 0, inter / union, 0.0)
     return out

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from .boxes import BBox, iou_matrix
 INTERPOLATIONS = ("all", "11point")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     image_id: str
     class_name: str
@@ -33,7 +35,7 @@ class GroundTruth:
     difficult: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     image_id: str
     class_name: str
@@ -68,6 +70,13 @@ class EvalCorpus:
 
 # ------------------------------------------------------------------- matching
 
+# Padded (prediction, ground truth) pairs in one lockstep block of images. A
+# block's float64 IoU tensor and its temporaries take ~80 bytes a pair; an
+# image with more pairs than this forms a block of its own.
+MATCH_BLOCK_PAIRS = 4096
+_FLAG_OF_CODE = (False, True, None)  # codes: 0 false positive, 1 hit, 2 ignored
+
+
 def match_class(predictions: list[Prediction], ground_truths: list[GroundTruth],
                 iou_threshold: float = 0.5) -> tuple[list[bool | None], int]:
     """Flag one class's predictions as TP (True), FP (False), or ignored (None).
@@ -78,43 +87,103 @@ def match_class(predictions: list[Prediction], ground_truths: list[GroundTruth],
     index on ties) and is a hit when that IoU is positive and meets the
     threshold. Also returns the count of non-difficult ground truths (the
     recall denominator).
+
+    Images are independent, so the greedy walk runs in lockstep over blocks
+    of images: step k settles the k-th prediction of every image in a block.
     """
     conf = np.array([p.confidence for p in predictions], dtype=np.float64)
     order = np.lexsort((np.arange(len(predictions)), -conf))
-    gts_of: dict[str, list[GroundTruth]] = {}
-    for gt in ground_truths:
-        gts_of.setdefault(gt.image_id, []).append(gt)
-    steps_of: dict[str, list[int]] = {}  # image id -> processing steps
-    for step, i in enumerate(order):
-        steps_of.setdefault(predictions[i].image_id, []).append(step)
-    flags: list[bool | None] = [False] * len(predictions)
-    for image_id, steps in steps_of.items():
-        gts = gts_of.get(image_id)
-        if not gts:
-            continue
-        ious = iou_matrix([predictions[order[s]].bbox for s in steps],
-                          [g.bbox for g in gts])
-        matched = np.zeros(len(gts), dtype=bool)
-        for step, row in zip(steps, ious):
-            row = np.where(matched, -1.0, row)
-            best = int(row.argmax())
-            if row[best] > 0 and row[best] >= iou_threshold:
-                if gts[best].difficult:
-                    flags[step] = None  # hit on a difficult box: ignored
-                else:
-                    matched[best] = True
-                    flags[step] = True
-    total_gt = sum(1 for g in ground_truths if not g.difficult)
-    return flags, total_gt
+    image_of: dict[str, int] = {}
+    gt_image = np.array([image_of.setdefault(g.image_id, len(image_of))
+                         for g in ground_truths], dtype=np.intp)
+    step_image = np.array([image_of.get(p.image_id, -1) for p in predictions],
+                          dtype=np.intp)[order]
+    difficult = np.array([g.difficult for g in ground_truths], dtype=bool)
+    codes = np.zeros(len(predictions), dtype=np.int8)  # by processing step
+    steps = np.flatnonzero(step_image >= 0)  # the rest have no ground truth
+    n_pred = np.bincount(step_image[steps], minlength=len(image_of))
+    n_gt = np.bincount(gt_image, minlength=len(image_of))
+    # most predictions first, so that the images of a block pad little
+    images = np.lexsort((-n_gt, -n_pred))[:np.count_nonzero(n_pred)]
+    rank = np.full(len(image_of), len(images))
+    rank[images] = np.arange(len(images))
+    # each image's steps (in processing order) and ground truths, image
+    # after image in rank order
+    steps = steps[np.argsort(rank[step_image[steps]], kind="stable")]
+    gts = np.argsort(rank[gt_image], kind="stable")
+    pred_box, gt_box = _box_array(predictions), _box_array(ground_truths)
+    n_pred, n_gt = n_pred[images], n_gt[images]
+    pred_start = np.concatenate(([0], np.cumsum(n_pred)))
+    gt_start = np.concatenate(([0], np.cumsum(n_gt)))
+    for first, last in _blocks(n_pred.tolist(), n_gt.tolist()):
+        p = slice(pred_start[first], pred_start[last])
+        g = gts[gt_start[first]:gt_start[last]]
+        codes[steps[p]] = _match_block(pred_box[order[steps[p]]], gt_box[g], difficult[g],
+                                       n_pred[first:last], n_gt[first:last], iou_threshold)
+    return [_FLAG_OF_CODE[c] for c in codes.tolist()], int(np.count_nonzero(~difficult))
+
+
+def _box_array(items) -> np.ndarray:
+    """(N, 4) float64 corners of the .bbox of each item."""
+    return np.fromiter(chain.from_iterable(item.bbox for item in items),
+                       dtype=np.float64, count=4 * len(items)).reshape(-1, 4)
+
+
+def _blocks(n_pred: list[int], n_gt: list[int]):
+    """Cut images, in n_pred-descending order, into [first, last) runs whose
+    padded pair count is at most MATCH_BLOCK_PAIRS, or that hold one image."""
+    first = 0
+    while first < len(n_pred):
+        height, last = n_gt[first], first + 1
+        while (last < len(n_pred) and (last + 1 - first) * n_pred[first]
+               * max(height, n_gt[last]) <= MATCH_BLOCK_PAIRS):
+            height, last = max(height, n_gt[last]), last + 1
+        yield first, last
+        first = last
+
+
+def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(image, column) of each item when items come image after image,
+    counts[b] of them for image b."""
+    image = np.repeat(np.arange(len(counts)), counts)
+    return image, np.arange(len(image)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _match_block(pred_box, gt_box, gt_difficult, n_pred, n_gt, iou_threshold) -> np.ndarray:
+    """Codes of the predictions of a block of images: n_pred[b] prediction
+    boxes (in processing order) and n_gt[b] ground truths for image b, image
+    after image."""
+    images, rows = len(n_pred), np.arange(len(n_pred))
+    pred_slot, gt_slot = _slots(n_pred), _slots(n_gt)
+    preds = np.zeros((images, n_pred.max(), 4))
+    preds[pred_slot] = pred_box
+    gts = np.zeros((images, n_gt.max(), 4))
+    gts[gt_slot] = gt_box
+    difficult = np.zeros(gts.shape[:2], dtype=bool)
+    difficult[gt_slot] = gt_difficult
+    matched = np.ones(gts.shape[:2], dtype=bool)  # padding reads -1, never wins
+    matched[gt_slot] = False
+    ious = iou_matrix(preds, gts)
+    codes = np.zeros(preds.shape[:2], dtype=np.int8)
+    for k in range(preds.shape[1]):
+        row = np.where(matched, -1.0, ious[:, k])
+        best = row.argmax(axis=1)
+        value = row[rows, best]
+        hit = (value > 0) & (value >= iou_threshold)
+        ignored = difficult[rows, best]
+        take = hit & ~ignored
+        matched[rows[take], best[take]] = True
+        codes[:, k] = np.where(hit, 1 + ignored, 0)
+    return codes[pred_slot]
 
 
 # ------------------------------------------------------------------------- AP
 
 def precision_recall(flags: list[bool | None], total_gt: int) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative precision/recall along the confidence-ranked flags."""
-    counted = [f for f in flags if f is not None]
-    tp = np.cumsum([1 if f else 0 for f in counted], dtype=np.float64)
-    fp = np.cumsum([0 if f else 1 for f in counted], dtype=np.float64)
+    hits = np.array([f for f in flags if f is not None], dtype=bool)
+    tp = np.cumsum(hits, dtype=np.float64)
+    fp = np.cumsum(~hits, dtype=np.float64)
     precision = tp / np.maximum(tp + fp, 1e-300)
     recall = tp / total_gt if total_gt > 0 else np.zeros_like(tp)
     return precision, recall
@@ -126,17 +195,14 @@ def average_precision(flags: list[bool | None], total_gt: int,
     if interpolation not in INTERPOLATIONS:
         raise ValueError(f"unknown interpolation {interpolation!r}; "
                          f"expected one of {INTERPOLATIONS}")
-    counted = [f for f in flags if f is not None]
     if total_gt == 0:
-        return 0.0 if counted else None
+        return 0.0 if any(f is not None for f in flags) else None
     precision, recall = precision_recall(flags, total_gt)
-    if len(counted) == 0:
+    if len(precision) == 0:
         return 0.0
     # monotone envelope: at each recall, the max precision at or right of it
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     if interpolation == "11point":
         levels = np.arange(11) / 10.0  # i/10 exactly; linspace's i*0.1 drifts an ulp
         vals = [mpre[np.searchsorted(mrec, t, side="left")] if t <= mrec[-1] else 0.0
@@ -187,7 +253,7 @@ def _gt_from_voc_dir(p: Path) -> list[GroundTruth]:
                 continue
             bbox = BBox(*voc_bndbox(f, i, box))
             difficult = (obj.findtext("difficult") or "0").strip() == "1"
-            name = (obj.findtext("name") or "object").strip()
+            name = sys.intern((obj.findtext("name") or "object").strip())
             out.append(GroundTruth(image_id, name, bbox, difficult))
     return out
 
@@ -196,14 +262,18 @@ def voc_bndbox(f: Path, i: int, box: ET.Element) -> tuple[float, float, float, f
     """(xmin, ymin, xmax, ymax) of object i's <bndbox> in VOC file f; a value
     that is not a finite number raises ValueError naming the file and object."""
     try:
-        corners = (float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
-                   float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
+        return _finite("<bndbox> (xmin, ymin, xmax, ymax)",
+                      (float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
+                       float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0"))))
     except ValueError as exc:
         raise ValueError(f"{f}: object {i}: {exc}") from None
-    if not all(map(math.isfinite, corners)):
-        raise ValueError(f"{f}: object {i}: <bndbox> (xmin, ymin, xmax, ymax) = "
-                         f"{corners} is not finite")
-    return corners
+
+
+def _finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
+    """values, when all are finite; else ValueError '<what> = <values> is not finite'."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} = {values} is not finite")
+    return values
 
 
 def parse_voc_xml(f: Path) -> ET.Element:
@@ -227,7 +297,7 @@ def _gt_from_text(p: Path) -> list[GroundTruth]:
                              f"[difficult]', got {raw!r}")
         difficult = len(parts) == 7 and parts[6] in ("1", "difficult")
         try:
-            bbox = BBox(*(float(v) for v in parts[2:6]))
+            bbox = BBox(*_finite("(x1, y1, x2, y2)", tuple(float(v) for v in parts[2:6])))
         except ValueError as exc:
             raise ValueError(f"{p}:{lineno}: {exc}") from None
         out.append(GroundTruth(parts[0], parts[1], bbox, difficult))
@@ -263,8 +333,9 @@ def load_predictions(path) -> list[Prediction]:
 def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
     """(image id, predictions) of one `littleyolo detect` output JSON.
 
-    A missing key, a wrongly typed value or a non-numeric confidence or
-    corner raises ValueError naming the file (and the detection's index).
+    A missing key, a wrongly typed value or a non-numeric or non-finite
+    confidence or corner raises ValueError naming the file (and the
+    detection's index).
     """
     with open(p, "r", encoding="utf-8") as fh:
         try:
@@ -277,9 +348,11 @@ def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
         out = []
         for i, det in enumerate(doc["detections"]):
             b = det["bbox"]
-            out.append(Prediction(image_id, det["class_name"], float(det["confidence"]),
-                                  BBox(float(b["x1"]), float(b["y1"]),
-                                       float(b["x2"]), float(b["y2"]))))
+            conf, *corners = _finite("(confidence, x1, y1, x2, y2)", (
+                float(det["confidence"]), float(b["x1"]), float(b["y1"]),
+                float(b["x2"]), float(b["y2"])))
+            out.append(Prediction(image_id, sys.intern(det["class_name"]), conf,
+                                  BBox(*corners)))
     except (KeyError, TypeError, ValueError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         where = p if i is None else f"{p}: detection {i}"
@@ -298,10 +371,11 @@ def _preds_from_text(p: Path) -> list[Prediction]:
             raise ValueError(f"{p}:{lineno}: expected 'image_id class confidence "
                              f"x1 y1 x2 y2', got {raw!r}")
         try:
-            out.append(Prediction(parts[0], parts[1], float(parts[2]),
-                                  BBox(*(float(v) for v in parts[3:7]))))
+            conf, *corners = _finite("(confidence, x1, y1, x2, y2)",
+                                    tuple(float(v) for v in parts[2:7]))
         except ValueError as exc:
             raise ValueError(f"{p}:{lineno}: {exc}") from None
+        out.append(Prediction(parts[0], parts[1], conf, BBox(*corners)))
     return out
 
 

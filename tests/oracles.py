@@ -2,9 +2,9 @@
 
 Everything here recomputes results from first principles (nested loops,
 finite differences, direct enumeration) and deliberately shares no code with
-the package. The seed forward-pass, resize and anchor-clustering code at the
-end is the exception: it keeps the package's first implementation, and
-reuses its unchanged kernels.
+the package. The seed forward-pass, resize, anchor-clustering and
+average-precision code at the end is the exception: it keeps the package's
+first implementation, and reuses its unchanged kernels.
 """
 
 import numpy as np
@@ -417,3 +417,32 @@ def lloyd_cluster_oracle(dims, k, distance="one_minus_iou", seed=0, max_iters=10
             break
     return ClusterResult(centroids=centroids, assignments=assign,
                          costs=tuple(costs), iterations=len(costs) - 1)
+
+
+# ------------------------------------------------------ seed average precision
+#
+# average_precision as first written, with its list-built cumulative sums and
+# a backward Python loop for the precision envelope. The array version in the
+# package must return the same float, bit for bit.
+
+def average_precision_seed(flags, total_gt, interpolation="all"):
+    counted = [f for f in flags if f is not None]
+    if total_gt == 0:
+        return 0.0 if counted else None
+    if len(counted) == 0:
+        return 0.0
+    tp = np.cumsum([1 if f else 0 for f in counted], dtype=np.float64)
+    fp = np.cumsum([0 if f else 1 for f in counted], dtype=np.float64)
+    precision = tp / np.maximum(tp + fp, 1e-300)
+    recall = tp / total_gt
+    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    if interpolation == "11point":
+        levels = np.arange(11) / 10.0
+        vals = [mpre[np.searchsorted(mrec, t, side="left")] if t <= mrec[-1] else 0.0
+                for t in levels]
+        return float(np.mean(vals))
+    changed = np.where(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))

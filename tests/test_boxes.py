@@ -188,6 +188,18 @@ class TestMatrixAndMSE:
             for j in range(len(b)):
                 assert m[i, j] == iou(BBox(*a[i]), BBox(*b[j]))
 
+    def test_iou_matrix_broadcasts_leading_dimensions(self):
+        # eval matching stacks padded images along a leading axis; each
+        # slice must equal the 2-D call exactly
+        rng = np.random.default_rng(3)
+        a = random_boxes(rng, 15).reshape(3, 5, 4)
+        b = random_boxes(rng, 12).reshape(3, 4, 4)
+        m = iou_matrix(a, b)
+        assert m.shape == (3, 5, 4)
+        for i in range(3):
+            assert np.array_equal(m[i], iou_matrix(a[i], b[i]))
+        assert np.array_equal(iou_matrix(a, b[0]), np.stack([iou_matrix(x, b[0]) for x in a]))
+
     def test_iou_matrix_empty(self):
         m = iou_matrix(np.zeros((0, 4)), np.zeros((3, 4)))
         assert m.shape == (0, 3)

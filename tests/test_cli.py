@@ -577,6 +577,24 @@ class TestAnnotationInputErrors:
         assert code == 1
         assert err.strip() == f"error: {bad}:2: could not convert string to float: '{value}'"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["gt", "preds"])
+    def test_non_finite_flat_text_value(self, capsys, tmp_path, which, value):
+        gt = tmp_path / "gt.txt"
+        preds = tmp_path / "preds.txt"
+        gt.write_text("img1 car 0 0 10 10\n"
+                      + (f"img1 car 0 0 {value} 10\n" if which == "gt" else ""))
+        preds.write_text("img1 car 0.9 0 0 10 10\n"
+                         + (f"img1 car 0.8 0 0 {value} 10\n" if which == "preds" else ""))
+        code, _, err = run_cli(capsys, "eval", "--gt", str(gt), "--preds", str(preds))
+        assert code == 1
+        v = float(value)
+        assert err.strip() == (
+            f"error: {gt}:2: (x1, y1, x2, y2) = (0.0, 0.0, {v}, 10.0) is not finite"
+            if which == "gt" else
+            f"error: {preds}:2: (confidence, x1, y1, x2, y2) = (0.8, 0.0, 0.0, {v}, 10.0) "
+            f"is not finite")
+
     def _voc_dir(self, tmp_path):
         d = tmp_path / "ann"
         d.mkdir()
@@ -636,6 +654,18 @@ class TestAnnotationInputErrors:
              "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}}]},
          "detection 1: could not convert string to float: 'high'"),
         ('{"image": "scene.ppm", "detec', "not valid JSON: "),
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": "car", "confidence": float("nan"),
+             "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}}]},
+         "detection 0: (confidence, x1, y1, x2, y2) = (nan, 0.0, 0.0, 10.0, 10.0) "
+         "is not finite"),
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": "car", "confidence": 0.9,
+             "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}},
+            {"class_name": "car", "confidence": 0.9,
+             "bbox": {"x1": 0, "y1": float("-inf"), "x2": 10, "y2": 10}}]},
+         "detection 1: (confidence, x1, y1, x2, y2) = (0.9, 0.0, -inf, 10.0, 10.0) "
+         "is not finite"),
     ])
     def test_malformed_detection_json(self, capsys, tmp_path, doc, message):
         gt = tmp_path / "gt.txt"

@@ -1,17 +1,20 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littleyolo.boxes import BBox
-from littleyolo.evaluate import (EvalCorpus, GroundTruth, Prediction,
-                                 average_precision, evaluation_report,
-                                 format_report, load_ground_truth,
-                                 load_predictions, match_class, mean_ap,
-                                 precision_recall)
-from oracles import ap_bruteforce, match_class_oracle
+from littleyolo import evaluate
+from littleyolo.boxes import BBox, iou_matrix
+from littleyolo.evaluate import (INTERPOLATIONS, EvalCorpus, GroundTruth,
+                                 Prediction, average_precision,
+                                 evaluation_report, format_report,
+                                 load_ground_truth, load_predictions,
+                                 match_class, mean_ap, precision_recall)
+from oracles import ap_bruteforce, average_precision_seed, match_class_oracle
 from test_anchors import write_voc
 
 UNIT = (0, 0, 10, 10)
@@ -128,6 +131,13 @@ class TestAveragePrecision:
         np.testing.assert_allclose(precision, [1, 0.5, 2 / 3])
         np.testing.assert_allclose(recall, [0.5, 0.5, 1.0])
 
+    @given(st.lists(st.sampled_from([True, False, None]), max_size=40),
+           st.integers(0, 45), st.sampled_from(INTERPOLATIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_seed_loop(self, flags, total_gt, interpolation):
+        assert average_precision(flags, total_gt, interpolation) == \
+            average_precision_seed(flags, total_gt, interpolation)
+
 
 class TestMeanAP:
     def test_two_class_table(self):
@@ -160,6 +170,23 @@ class TestMeanAP:
         c = corpus([("a", "car", UNIT, True)], [])
         with pytest.raises(ValueError, match="defined"):
             mean_ap(c)
+
+    def test_calls_match_class_through_the_module_once_per_class(self, monkeypatch):
+        # perfbench times evaluate.match_class by wrapping that module name;
+        # a call routed around it would leave its span reading 0
+        c = corpus([("a", "car", UNIT), ("b", "bus", FAR), ("a", "van", UNIT)],
+                   [("a", "car", 0.9, UNIT), ("b", "bus", 0.8, UNIT),
+                    ("b", "car", 0.7, FAR)])
+        want = mean_ap(c)
+        seen = []
+
+        def spy(preds, gts, iou_threshold):
+            seen.append({x.class_name for x in preds + gts})
+            return match_class(preds, gts, iou_threshold)
+
+        monkeypatch.setattr(evaluate, "match_class", spy)
+        assert mean_ap(c) == want
+        assert seen == [{"bus"}, {"car"}, {"van"}]
 
     def test_report_and_formatting(self):
         c = corpus([("a", "car", UNIT)], [("a", "car", 0.9, UNIT)])
@@ -228,6 +255,72 @@ class TestMatchingAgainstOracle:
         preds = [Prediction("a", "car", 0.9, BBox(0, 4, 10, 14))]
         assert match_class(preds, gts, 0.4) == ([None], 1)
         assert match_class(preds, gts[::-1], 0.4) == ([True], 1)
+
+
+def small_grid_box(code):
+    """Box with corner and sides in 0-3 from the low 8 bits of code: many
+    such boxes overlap, tie on IoU or have zero area."""
+    x, y, w, h = code & 3, code >> 2 & 3, code >> 4 & 3, code >> 6 & 3
+    return BBox(x, y, x + w, y + h)
+
+
+@st.composite
+def ten_image_class(draw):
+    """(predictions, ground truths) of one class over ten images, in shuffled
+    order. One integer per item gives its box (bits 0-7), whether it is a
+    ground truth (bit 9), and its difficult flag (bit 8) or confidence (code
+    mod 3); an image may hold only predictions or only ground truths."""
+    preds, gts = [], []
+    for image in "0123456789":
+        for code in draw(st.lists(st.integers(0, 1023), max_size=10)):
+            if code & 512:
+                gts.append(GroundTruth(image, "car", small_grid_box(code), bool(code & 256)))
+            else:
+                preds.append(Prediction(image, "car", (0.2, 0.5, 0.8)[code % 3],
+                                        small_grid_box(code)))
+    return draw(st.permutations(preds)), draw(st.permutations(gts))
+
+
+class TestLockstepBlocks:
+    """Blocks of every size give the flags of the scalar greedy walk."""
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 7])
+    @given(ten_image_class(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_same_flags_as_oracle(self, pairs, class_, threshold):
+        preds, gts = class_
+        with mock.patch.object(evaluate, "MATCH_BLOCK_PAIRS", pairs):
+            assert match_class(preds, gts, threshold) == \
+                match_class_oracle(preds, gts, threshold)
+
+    def test_skewed_corpus_pads_no_image_to_the_largest(self):
+        # 200 one-box images and one image with 1,500 predictions and 1,500
+        # ground truths: the blocks must not pad small images to the large one
+        rng = np.random.default_rng(8)
+
+        def boxes(n):
+            corner = rng.uniform(0, 400, (n, 2))
+            return np.hstack([corner, corner + rng.uniform(4, 80, (n, 2))])
+
+        big_preds, big_gts = boxes(1500), boxes(1500)
+        preds = [Prediction(f"small{i}", "car", 0.5, BBox(*b))
+                 for i, b in enumerate(boxes(200).tolist())]
+        gts = [GroundTruth(p.image_id, "car", p.bbox) for p in preds]
+        preds += [Prediction("big", "car", float(c), BBox(*b))
+                  for c, b in zip(rng.random(1500), big_preds.tolist())]
+        gts += [GroundTruth("big", "car", BBox(*b)) for b in big_gts.tolist()]
+        tracemalloc.start()
+        try:
+            iou_matrix(big_preds, big_gts)
+            own = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            flags, _ = match_class(preds, gts, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert flags.count(True) >= 200
+        assert peak < 1.1 * own
 
 
 class TestAgainstBruteForce:
