@@ -12,15 +12,14 @@ reproducible across platforms for a given seed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import parse_voc_xml, voc_bndbox
-from .rng import SplitMix64
+from .evaluate import _finite, parse_voc_xml, voc_bndbox
+from .rng import uniform_stream
 
 DISTANCES = ("one_minus_iou", "euclidean")
 
@@ -69,10 +68,11 @@ def kmeanspp_seed(dims: np.ndarray, k: int, seed: int,
     if k > distinct:
         raise ValueError(f"k = {k} exceeds the {distinct} distinct box "
                          "dimensions available")
-    rng = SplitMix64(seed)
-    centroids = [dims[rng.next_index(len(dims))]]
+    draws = uniform_stream(seed, k, 0.0, 1.0).tolist()  # draw i picks centroid i
+    centroids = [dims[min(int(draws[0] * len(dims)), len(dims) - 1)]]
     nearest = np.full(len(dims), np.inf)  # running min over centroids; np.minimum is exact
     while len(centroids) < k:
+        u = draws[len(centroids)]
         nearest = np.minimum(nearest, _distance_matrix(dims, centroids[-1][None], distance)[:, 0])
         weights = nearest * nearest
         total = weights.sum()
@@ -80,10 +80,9 @@ def kmeanspp_seed(dims: np.ndarray, k: int, seed: int,
             # all points coincide with a centroid; pick any non-centroid point
             fresh = [p for p in np.unique(dims, axis=0)
                      if not any(np.array_equal(p, c) for c in centroids)]
-            centroids.append(fresh[rng.next_index(len(fresh))])
+            centroids.append(fresh[min(int(u * len(fresh)), len(fresh) - 1)])
             continue
-        target = rng.next_float() * total
-        idx = int(np.searchsorted(np.cumsum(weights), target, side="right"))
+        idx = int(np.searchsorted(np.cumsum(weights), u * total, side="right"))
         centroids.append(dims[min(idx, len(dims) - 1)])
     return np.array(centroids)
 
@@ -207,12 +206,10 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
         if size is None:
             continue
         try:
-            img_w = float(size.findtext("width", "0"))
-            img_h = float(size.findtext("height", "0"))
+            img_w, img_h = _finite("(width, height)", (float(size.findtext("width", "0")),
+                                                       float(size.findtext("height", "0"))))
         except ValueError as exc:
             raise ValueError(f"{f}: <size>: {exc}") from None
-        if not (math.isfinite(img_w) and math.isfinite(img_h)):
-            raise ValueError(f"{f}: <size>: {img_w} x {img_h} is not finite")
         for i, obj in enumerate(root.iter("object")):
             if class_names is not None:
                 name = (obj.findtext("name") or "").strip()
@@ -229,32 +226,36 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
 
 
 def dims_from_coco_json(path, class_names: set[str] | None = None) -> np.ndarray:
-    """Collect normalized (w, h) pairs from a COCO-style annotation JSON."""
+    """Collect normalized (w, h) pairs from a COCO-style annotation JSON. A
+    malformed file raises ValueError naming it, and the image or annotation."""
     with open(str(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    images = {img["id"]: (float(img["width"]), float(img["height"]))
-              for img in doc.get("images", [])}
-    for image_id, (img_w, img_h) in images.items():
-        if not (math.isfinite(img_w) and math.isfinite(img_h)):
-            raise ValueError(f"{path}: image {image_id}: size {img_w} x {img_h} is not finite")
-    wanted = None
-    if class_names is not None:
-        wanted = {cat["id"] for cat in doc.get("categories", [])
-                  if cat.get("name") in class_names}
-    out = []
-    for i, ann in enumerate(doc.get("annotations", [])):
-        if wanted is not None and ann.get("category_id") not in wanted:
-            continue
-        if ann.get("image_id") not in images:
-            continue
-        img_w, img_h = images[ann["image_id"]]
-        _, _, w, h = ann["bbox"]
-        w, h = float(w), float(h)
-        if not (math.isfinite(w) and math.isfinite(h)):
-            raise ValueError(f"{path}: annotation {i}: bbox size {w} x {h} is not finite")
-        wh = _normalize(w, h, img_w, img_h)
-        if wh:
-            out.append(wh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    where = ""
+    try:
+        wanted = None if class_names is None else {
+            cat["id"] for cat in doc.get("categories", []) if cat.get("name") in class_names}
+        images = {}
+        for n, img in enumerate(doc.get("images", [])):
+            where = f"images[{n}]: "  # until its id is read
+            where = f"image {img['id']}: "
+            images[img["id"]] = _finite("size (width, height)",
+                                        (float(img["width"]), float(img["height"])))
+        out = []
+        for i, ann in enumerate(doc.get("annotations", [])):
+            where = f"annotation {i}: "
+            if ((wanted is None or ann.get("category_id") in wanted)
+                    and ann.get("image_id") in images):
+                _, _, w, h = ann["bbox"]
+                wh = _normalize(*_finite("bbox size (w, h)", (float(w), float(h))),
+                                *images[ann["image_id"]])
+                if wh:
+                    out.append(wh)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{path}: {where}{what}") from None
     return np.array(out, dtype=np.float64).reshape(-1, 2)
 
 

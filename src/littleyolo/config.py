@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .tensor import ACTIVATIONS
+
 KNOWN_SECTIONS = ("net", "network", "convolutional", "maxpool", "route",
                   "shortcut", "upsample", "yolo")
 
@@ -226,7 +228,7 @@ def _want_int_tuple(sec: Section, key: str) -> tuple[int, ...]:
 
 def _want_activation(sec: Section) -> str:
     v = sec.values.get("activation", "linear")
-    if v not in ("linear", "leaky", "mish"):
+    if v not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {v!r}", sec.lines.get("activation", sec.line))
     return v
 

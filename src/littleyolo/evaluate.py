@@ -277,31 +277,39 @@ def _finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def parse_voc_xml(f: Path) -> ET.Element:
-    """Root element of a VOC annotation file; XML that does not parse raises
-    ValueError naming the file (ElementTree's ParseError is a SyntaxError)."""
+    """Root element of a VOC annotation file; XML that does not parse, or
+    declares an unknown encoding, raises ValueError naming the file
+    (ElementTree raises a SyntaxError or a LookupError)."""
     try:
         return ET.parse(str(f)).getroot()
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError) as exc:
         raise ValueError(f"{f}: not well-formed XML: {exc}") from None
 
 
 def _gt_from_text(p: Path) -> list[GroundTruth]:
-    out = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (6, 7):
-            raise ValueError(f"{p}:{lineno}: expected 'image_id class x1 y1 x2 y2 "
-                             f"[difficult]', got {raw!r}")
-        difficult = len(parts) == 7 and parts[6] in ("1", "difficult")
-        try:
-            bbox = BBox(*_finite("(x1, y1, x2, y2)", tuple(float(v) for v in parts[2:6])))
-        except ValueError as exc:
-            raise ValueError(f"{p}:{lineno}: {exc}") from None
-        out.append(GroundTruth(parts[0], parts[1], bbox, difficult))
-    return out
+    return [GroundTruth(f[0], f[1], BBox(*box), len(f) == 7 and f[6] in ("1", "difficult"))
+            for f, box in _text_records(p, "image_id class x1 y1 x2 y2 [difficult]")]
+
+
+def _text_records(p: Path, form: str):
+    """(fields, numbers) of each record line of flat text file p. '#' starts a
+    comment; a line holds the fields that form names (a bracketed last one is
+    optional), and the ones after image_id and class must be finite numbers.
+    Errors raise ValueError naming p:line (p alone when it is not UTF-8)."""
+    names = form.split()
+    numbers = [n for n in names[2:] if not n.startswith("[")]
+    what = f"({', '.join(numbers)})"
+    lineno = 0
+    try:  # a file that is not UTF-8 fails before line 1
+        for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if not 2 + len(numbers) <= len(fields) <= len(names):
+                raise ValueError(f"expected '{form}', got {raw!r}")
+            yield fields, _finite(what, tuple(map(float, fields[2:2 + len(numbers)])))
+    except ValueError as exc:
+        raise ValueError(f"{p}:{lineno}: {exc}" if lineno else f"{p}: {exc}") from None
 
 
 def load_predictions(path) -> list[Prediction]:
@@ -340,7 +348,7 @@ def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
     with open(p, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
             raise ValueError(f"{p}: not valid JSON: {exc}") from None
     i = None
     try:
@@ -351,6 +359,8 @@ def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
             conf, *corners = _finite("(confidence, x1, y1, x2, y2)", (
                 float(det["confidence"]), float(b["x1"]), float(b["y1"]),
                 float(b["x2"]), float(b["y2"])))
+            if not isinstance(det["class_name"], str):
+                raise TypeError(f"class_name {det['class_name']!r} is not a string")
             out.append(Prediction(image_id, sys.intern(det["class_name"]), conf,
                                   BBox(*corners)))
     except (KeyError, TypeError, ValueError) as exc:
@@ -361,22 +371,8 @@ def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
 
 
 def _preds_from_text(p: Path) -> list[Prediction]:
-    out = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise ValueError(f"{p}:{lineno}: expected 'image_id class confidence "
-                             f"x1 y1 x2 y2', got {raw!r}")
-        try:
-            conf, *corners = _finite("(confidence, x1, y1, x2, y2)",
-                                    tuple(float(v) for v in parts[2:7]))
-        except ValueError as exc:
-            raise ValueError(f"{p}:{lineno}: {exc}") from None
-        out.append(Prediction(parts[0], parts[1], conf, BBox(*corners)))
-    return out
+    return [Prediction(f[0], f[1], conf, BBox(*corners)) for f, (conf, *corners)
+            in _text_records(p, "image_id class confidence x1 y1 x2 y2")]
 
 
 # --------------------------------------------------------------------- report

@@ -1,8 +1,8 @@
 """Image I/O and annotation.
 
-Binary PPM (P6, maxval 255) is decoded and encoded here directly so image
-ingestion is bit-exact and dependency-free. Other formats fall back to
-Pillow when it is importable. Images are uint8 arrays of shape (H, W, 3).
+Binary PPM (P6, maxval 255) is the one image format: it is decoded and
+encoded here directly so image ingestion is bit-exact and dependency-free.
+Images are uint8 arrays of shape (H, W, 3).
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ def decode_ppm(data: bytes) -> np.ndarray:
             raise ImageError(f"bad PPM header token {tok!r}")
         fields.append(int(tok))
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise ImageError(f"PPM has no pixels: {width}x{height}")
     if maxval != 255:
         raise ImageError(f"only maxval 255 PPMs are supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -65,23 +67,14 @@ def encode_ppm(image: np.ndarray) -> bytes:
 
 
 def read_image(path) -> np.ndarray:
-    """Load an image as (H, W, 3) uint8. PPM natively (a malformed one raises
-    ImageError naming the file); anything else via Pillow when available."""
-    path = str(path)
-    with open(path, "rb") as fh:
+    """Load a binary PPM file as (H, W, 3) uint8, whatever its suffix; a file
+    that is not one raises ImageError naming the file."""
+    with open(str(path), "rb") as fh:
         data = fh.read()
-    if data[:2] == b"P6":
-        try:
-            return decode_ppm(data)
-        except ImageError as exc:
-            raise ImageError(f"{path}: {exc}") from None
     try:
-        from PIL import Image
-    except ImportError:
-        raise ImageError(f"{path} is not a P6 PPM and Pillow is not installed")
-    from io import BytesIO
-    with Image.open(BytesIO(data)) as im:
-        return np.asarray(im.convert("RGB"), dtype=np.uint8)
+        return decode_ppm(data)
+    except ValueError as exc:
+        raise ImageError(f"{path}: {exc}") from None
 
 
 def write_ppm(path, image: np.ndarray) -> None:

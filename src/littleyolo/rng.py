@@ -17,36 +17,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """Scalar splitmix64 stream."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return (z ^ (z >> 31)) & _MASK
-
-    def next_float(self) -> float:
-        """Uniform draw in [0, 1) using the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_index(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return min(int(self.next_float() * n), n - 1)
-
-
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of splitmix64 for `seed`, as uint64.
 
-    Vectorized but bit-identical to repeated SplitMix64.next_u64(): the state
-    after n steps is seed + n*golden (mod 2^64), so all states are computed
-    up front and the output mix is applied elementwise.
+    The state after n steps is seed + n*golden (mod 2^64), so all states are
+    computed up front and the output mix is applied elementwise.
     """
     states = np.uint64(seed & _MASK) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     z = (states ^ (states >> np.uint64(30))) * np.uint64(_MIX1)
@@ -55,6 +30,6 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
 
 def uniform_stream(seed: int, count: int, low: float, high: float) -> np.ndarray:
-    """`count` uniform float64 draws in [low, high), matching SplitMix64.next_float."""
+    """`count` uniform float64 draws in [low, high), from each output's top 53 bits."""
     u = (splitmix64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return low + u * (high - low)

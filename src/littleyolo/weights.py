@@ -134,31 +134,23 @@ def _check_channel_params(index: int, bias: np.ndarray, bn: BatchNorm | None) ->
 
 
 def init_random(graph, seed: int):
-    """Seeded deterministic initialization.
+    """Seeded deterministic initialization, loaded through load_weights.
 
     Weights are uniform in [-0.1, 0.1) drawn from one splitmix64 stream in
     graph order (flat filter-major order within each layer); bias = 0,
     gamma = 1, mean = 0, var = 1. Bit-identical for a given seed everywhere.
     """
-    counts = [(layer, layer.spec.filters * layer.in_channels * layer.spec.size ** 2)
-              for layer in _conv_layers(graph)]
-    draws = uniform_stream(seed, sum(c for _, c in counts), INIT_LOW, INIT_HIGH)
-    pos = 0
-    for layer, count in counts:
-        spec = layer.spec
-        n, c, k = spec.filters, layer.in_channels, spec.size
-        weights = draws[pos:pos + count].astype(FLOAT).reshape(n, c, k, k)
-        pos += count
-        bn = None
-        if spec.batch_normalize:
-            bn = BatchNorm(gamma=np.ones(n, dtype=FLOAT),
-                           mean=np.zeros(n, dtype=FLOAT),
-                           var=np.ones(n, dtype=FLOAT), epsilon=BN_EPSILON)
-        layer.params = ConvParams(weights=weights, bias=np.zeros(n, dtype=FLOAT),
-                                  stride=spec.stride, padding=spec.padding,
-                                  batch_norm=bn)
-    graph.images_seen = 0
-    return graph
+    layers = list(_conv_layers(graph))
+    sizes = [layer.spec.filters * layer.in_channels * layer.spec.size ** 2 for layer in layers]
+    draws = uniform_stream(seed, sum(sizes), INIT_LOW, INIT_HIGH).astype("<f4")
+    chunks, pos = [struct.pack("<iiiQ", MAJOR, MINOR, REVISION, 0)], 0
+    for layer, size in zip(layers, sizes):
+        # bias, then gamma, mean, var with batch-norm, each repeated per filter
+        channel = (0.0, 1.0, 0.0, 1.0) if layer.spec.batch_normalize else (0.0,)
+        chunks += [np.repeat(np.array(channel, "<f4"), layer.spec.filters).tobytes(),
+                   draws[pos:pos + size].tobytes()]
+        pos += size
+    return load_weights(graph, b"".join(chunks))
 
 
 def load_weights_file(graph, path):

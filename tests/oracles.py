@@ -342,19 +342,48 @@ def forward_seed(graph, x):
     return heads
 
 
+# ------------------------------------------------------------ scalar splitmix64
+
+class SplitMix64:
+    """Scalar splitmix64 (Steele, Lea & Flood, OOPSLA 2014), one output per
+    call; rng.splitmix64_stream and rng.uniform_stream must match it."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self._state = seed & self._MASK
+
+    def next_u64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return (z ^ (z >> 31)) & self._MASK
+
+    def next_float(self):
+        """Uniform draw in [0, 1) using the top 53 bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_index(self, n):
+        """Uniform integer in [0, n)."""
+        if n <= 0:
+            raise ValueError(f"n must be positive, got {n}")
+        return min(int(self.next_float() * n), n - 1)
+
+
 # ------------------------------------------------------ seed anchor clustering
 #
 # k-means++ seeding and Lloyd iterations as first written: the seeding
 # rebuilds the whole (N, centroids so far) distance matrix at every step and
 # counts distinct rows with np.unique on every call; the Lloyd loop takes one
 # argmin per cluster per iteration to look for empty clusters. They reuse
-# the package's distance kernel and random stream, which are unchanged. The
-# package's seeding and Lloyd loop must reproduce them bit for bit.
+# the package's distance kernel, which is unchanged, and draw from the scalar
+# SplitMix64 above. The package's seeding and Lloyd loop must reproduce them
+# bit for bit.
 
 def kmeanspp_oracle(dims, k, seed, distance="one_minus_iou"):
     """k-means++ initial centroids: first uniform, the rest D^2-weighted."""
     from littleyolo.anchors import _distance_matrix
-    from littleyolo.rng import SplitMix64
 
     dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
     distinct = np.unique(dims, axis=0)

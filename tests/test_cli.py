@@ -238,6 +238,24 @@ class TestDetect:
         for name in ("a_hot.json", "b_dark.json", "c_noise.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("name, data, message", [
+        ("b_empty.ppm", b"P6\n0 0\n255\n", "PPM has no pixels: 0x0"),
+        ("b_photo.png", b"\x89PNG\r\n\x1a\n" + bytes(32), "not a binary PPM (P6) stream"),
+    ], ids=["zero-size", "png"])
+    def test_unreadable_image_is_named_and_the_rest_run(self, capsys, tiny_setup,
+                                                        name, data, message):
+        d = self._image_dir(tiny_setup)
+        bad = d / name
+        bad.write_bytes(data)
+        out_dir = tiny_setup["dir"] / "out"
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", str(d), "--output", str(out_dir))
+        assert code == 1 and "processed 3 images" in out
+        assert err.strip() == f"error: {bad}: {message}"
+        rows = json.loads((out_dir / "index.json").read_text())["results"]
+        assert [r["num_detections"] for r in rows if "error" not in r] == [1, 0, 0]
+
     def test_blas_threads_split_among_workers_and_restored(self, capsys, tiny_setup,
                                                           monkeypatch):
         before = tensor.blas_thread_count()
@@ -666,6 +684,12 @@ class TestAnnotationInputErrors:
              "bbox": {"x1": 0, "y1": float("-inf"), "x2": 10, "y2": 10}}]},
          "detection 1: (confidence, x1, y1, x2, y2) = (0.9, 0.0, -inf, 10.0, 10.0) "
          "is not finite"),
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": 5, "confidence": 0.9,
+             "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}}]},
+         "detection 0: class_name 5 is not a string"),
+        (b"\xff\xfe{}", "not valid JSON: "),
+        pytest.param("[" * 100_000, "not valid JSON: ", id="nested-too-deep"),
     ])
     def test_malformed_detection_json(self, capsys, tmp_path, doc, message):
         gt = tmp_path / "gt.txt"
@@ -673,8 +697,38 @@ class TestAnnotationInputErrors:
         preds = tmp_path / "preds"
         preds.mkdir()
         f = preds / "scene.json"
-        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        text = doc if isinstance(doc, (str, bytes)) else json.dumps(doc)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, _, err = run_cli(capsys, "eval", "--gt", str(gt), "--preds", str(preds))
+        assert code == 1
+        assert err.startswith(f"error: {f}: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    COCO_IMAGES = [{"id": 1, "width": 100, "height": 100}]
+    COCO_ANNOTATIONS = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]}]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"images": [{"id": 1, "height": 100}], "annotations": COCO_ANNOTATIONS},
+         "image 1: missing key 'width'"),
+        ({"images": [{"width": 100, "height": 100}], "annotations": COCO_ANNOTATIONS},
+         "images[0]: missing key 'id'"),
+        ({"images": [{"id": 1, "width": "abc", "height": 100}],
+          "annotations": COCO_ANNOTATIONS},
+         "image 1: could not convert string to float: 'abc'"),
+        ({"images": COCO_IMAGES,
+          "annotations": COCO_ANNOTATIONS + [{"image_id": 1, "category_id": 1}]},
+         "annotation 1: missing key 'bbox'"),
+        ({"images": COCO_IMAGES, "annotations": [
+            {"image_id": 1, "category_id": 1, "bbox": [0, 0, 10]}]},
+         "annotation 0: not enough values to unpack (expected 4, got 3)"),
+        ([{"images": COCO_IMAGES}], "'list' object has no attribute 'get'"),
+        ('{"images": [', "not valid JSON: "),
+        pytest.param("[" * 100_000, "not valid JSON: ", id="nested-too-deep"),
+    ])
+    def test_malformed_coco_json(self, capsys, tmp_path, doc, message):
+        f = tmp_path / "ann.json"
+        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, _, err = run_cli(capsys, "anchors", "--input", str(f), "--k", "1")
         assert code == 1
         assert err.startswith(f"error: {f}: {message}")
         assert len(err.strip().splitlines()) == 1

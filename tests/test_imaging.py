@@ -52,6 +52,21 @@ class TestPPM:
         write_ppm(path, img)
         np.testing.assert_array_equal(read_image(path), img)
 
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0"])
+    def test_zero_size_rejected(self, size):
+        with pytest.raises(ImageError, match="no pixels"):
+            decode_ppm(b"P6\n" + size + b"\n255\n")
+
+    @pytest.mark.parametrize("data", [b"\x89PNG\r\n\x1a\n" + bytes(20), b""],
+                             ids=["png", "empty"])
+    def test_read_names_the_file(self, tmp_path, data):
+        # read by magic bytes, whatever the suffix; there is no other decoder
+        path = tmp_path / "photo.png"
+        path.write_bytes(data)
+        with pytest.raises(ImageError) as ei:
+            read_image(path)
+        assert str(ei.value).startswith(f"{path}: ")
+
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_image(tmp_path / "missing.ppm")

@@ -5,15 +5,23 @@ import pytest
 
 from littleyolo.config import load_config, reference_config_path
 from littleyolo.graph import build_graph
-from littleyolo.rng import SplitMix64, splitmix64_stream, uniform_stream
+from littleyolo.rng import splitmix64_stream, uniform_stream
 from littleyolo.weights import (HEADER_BYTES, WeightsError,
                                 expected_file_size, init_random,
                                 layer_param_count, load_weights,
                                 load_weights_file, save_weights,
                                 save_weights_file)
+from oracles import SplitMix64
 
 
 class TestSplitMix64:
+    """The scalar reference generator lives in oracles; the package keeps
+    only the vectorized stream."""
+
+    def test_stream_published_seed_zero_vector(self):
+        assert splitmix64_stream(0, 3).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
     def test_published_seed_zero_vector(self):
         rng = SplitMix64(0)
         assert rng.next_u64() == 0xE220A8397B1DCDAF
@@ -31,6 +39,12 @@ class TestSplitMix64:
         rng = SplitMix64(7)
         vals = [rng.next_float() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in vals)
+
+    def test_unit_stream_is_the_scalar_floats(self):
+        # kmeanspp_seed draws from uniform_stream(seed, k, 0.0, 1.0)
+        scalar = SplitMix64(2024)
+        assert uniform_stream(2024, 200, 0.0, 1.0).tolist() == [
+            scalar.next_float() for _ in range(200)]
 
     def test_uniform_stream_range_and_determinism(self):
         a = uniform_stream(9, 500, -0.1, 0.1)
