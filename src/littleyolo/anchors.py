@@ -42,11 +42,13 @@ class AnchorSet(NamedTuple):
 
 
 def wh_iou(dims: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """IoU matrix between co-centered (w, h) rows of dims (N,2) and centroids (K,2)."""
+    """IoU matrix between co-centered (w, h) rows of dims (N,2) and centroids
+    (K,2); 0 where the union is not positive (areas that underflow to 0)."""
     inter = (np.minimum(dims[:, None, 0], centroids[None, :, 0])
              * np.minimum(dims[:, None, 1], centroids[None, :, 1]))
     union = (dims[:, 0] * dims[:, 1])[:, None] + (centroids[:, 0] * centroids[:, 1])[None, :] - inter
-    return inter / union
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
 
 
 def _distance_matrix(dims: np.ndarray, centroids: np.ndarray, distance: str) -> np.ndarray:

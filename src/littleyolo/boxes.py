@@ -170,14 +170,22 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     a = a.reshape(-1, 4) if a.ndim < 2 else a
     b = b.reshape(-1, 4) if b.ndim < 2 else b
-    ix1 = np.maximum(a[..., :, None, 0], b[..., None, :, 0])
-    iy1 = np.maximum(a[..., :, None, 1], b[..., None, :, 1])
-    ix2 = np.minimum(a[..., :, None, 2], b[..., None, :, 2])
-    iy2 = np.minimum(a[..., :, None, 3], b[..., None, :, 3])
-    inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
+    # Three (..., N, M) buffers, reused in place: lo holds x1, y1, then the
+    # union; inter holds x2, the width, the intersection, then the IoU;
+    # height holds y2, then the height.
+    lo = np.maximum(a[..., :, None, 0], b[..., None, :, 0])
+    inter = np.minimum(a[..., :, None, 2], b[..., None, :, 2])
+    np.clip(np.subtract(inter, lo, out=inter), 0, None, out=inter)
+    np.maximum(a[..., :, None, 1], b[..., None, :, 1], out=lo)
+    height = np.minimum(a[..., :, None, 3], b[..., None, :, 3])
+    np.clip(np.subtract(height, lo, out=height), 0, None, out=height)
+    inter *= height
+    del height
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a[..., :, None] + area_b[..., None, :] - inter
+    union = np.add(area_a[..., :, None], area_b[..., None, :], out=lo)
+    union -= inter
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(union > 0, inter / union, 0.0)
-    return out
+        np.divide(inter, union, out=inter)
+    inter[~(union > 0)] = 0.0
+    return inter

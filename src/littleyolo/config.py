@@ -375,6 +375,12 @@ def reference_config_path(size: int = 416):
 
 
 def load_config(path) -> list[NetParams | LayerSpec]:
-    """Read a config file and lower it to specs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return lower_to_specs(parse_config(fh.read()))
+    """Read a config file and lower it to specs. A malformed or non-UTF-8
+    file raises ConfigError naming the file first."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return lower_to_specs(parse_config(fh.read()))
+    except ValueError as exc:  # ConfigError, or UnicodeDecodeError
+        error = ConfigError(f"{path}: {exc}")
+        error.line = getattr(exc, "line", 0)
+        raise error from None

@@ -178,7 +178,7 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     for layer in graph.layers:
         spec = layer.spec
         src = [live[r] for r in layer.inputs]
-        # conv and shortcut outputs are fresh arrays: activate them in place
+        # conv and shortcut outputs are this layer's own: activate them in place
         if isinstance(spec, Convolutional):
             out = tensor.activate(tensor.conv2d(src[0], layer.params), spec.activation,
                                   inplace=True)
@@ -187,8 +187,13 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
         elif isinstance(spec, Route):
             out = tensor.concat_channels(src)
         elif isinstance(spec, Shortcut):
-            out = tensor.activate(tensor.shortcut_add(src[0], src[1]), spec.activation,
-                                  inplace=True)
+            # add into current when nothing reads it later: not the caller's
+            # input, not the skip source, and last read here
+            cur, skip = layer.inputs
+            inplace = cur in layer.frees and cur not in (NET_INPUT, skip)
+            out = tensor.activate(tensor.shortcut_add(src[0], src[1],
+                                                      out=src[0] if inplace else None),
+                                  spec.activation, inplace=True)
         elif isinstance(spec, Upsample):
             out = tensor.upsample_nearest(src[0], spec.stride)
         else:  # Yolo: passthrough

@@ -17,19 +17,49 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of splitmix64 for `seed`, as uint64.
+# Draws are made this many at a time, so the uint64 workspace stays fixed.
+_CHUNK = 1 << 16
 
-    The state after n steps is seed + n*golden (mod 2^64), so all states are
-    computed up front and the output mix is applied elementwise.
+
+def _chunks(seed: int, count: int):
+    """Yield (start, z): z holds splitmix64 outputs start..start+len(z)-1 of
+    `seed`, in a uint64 buffer that the next chunk overwrites.
+
+    The state after n steps is seed + n*golden (mod 2^64), so a chunk's
+    states come straight from their indices; the output mix runs in place.
     """
-    states = np.uint64(seed & _MASK) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    z = (states ^ (states >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.empty(min(count, _CHUNK), dtype=np.uint64)
+    t = np.empty_like(z)
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
+        zs, ts = z[:n], t[:n]
+        zs[:] = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        zs *= np.uint64(_GOLDEN)
+        zs += np.uint64(seed & _MASK)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zs, np.uint64(shift), out=ts)
+            zs ^= ts
+            zs *= np.uint64(mix)
+        np.right_shift(zs, np.uint64(31), out=ts)
+        zs ^= ts
+        yield start, zs
+
+
+def splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """First `count` outputs of splitmix64 for `seed`, as uint64."""
+    out = np.empty(count, dtype=np.uint64)
+    for start, z in _chunks(seed, count):
+        out[start:start + z.size] = z
+    return out
 
 
 def uniform_stream(seed: int, count: int, low: float, high: float) -> np.ndarray:
     """`count` uniform float64 draws in [low, high), from each output's top 53 bits."""
-    u = (splitmix64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return low + u * (high - low)
+    out = np.empty(count, dtype=np.float64)
+    for start, z in _chunks(seed, count):
+        z >>= np.uint64(11)
+        out[start:start + z.size] = z
+    out *= 2.0**-53
+    out *= high - low
+    out += low
+    return out

@@ -4,25 +4,35 @@ A feature map is a numpy array of shape (channels, height, width), float32,
 C-contiguous, so the flat buffer is channel-major: index = c*H*W + y*W + x.
 There is no batch dimension. Every kernel here is a function of its inputs
 alone and runs on the CPU; none writes to its inputs unless asked to
-(activate's inplace mode, mish/leaky_relu's out argument).
+(activate's inplace mode, the out argument of mish, leaky_relu and
+shortcut_add).
 
 Convolution accumulates in float64 (im2col + BLAS matmul) and casts the
 result back to float32, which keeps it comfortably inside the 1e-5 relative
 tolerance against a direct-definition oracle. conv2d walks the output in
-bands of rows: it copies a band's k*k shifted windows of the padded float32
-input, widened to float64, into one column buffer reused for every band,
+bands of rows: it copies a band's k*k shifted windows of the float32 input,
+widened to float64, into one column buffer reused for every band,
 multiplies, applies batch norm and bias in place on the float64 product (no
-weights are folded) and stores the band into the float32 output. A column
-matrix of up to TILE_THRESHOLD_BYTES is one band; a larger one (the early
-layers, up to 236 MB at 640) is cut into bands of at most BAND_BYTES (or
-one row, if a row is larger). A band's float64 product may differ in the
-last bits from the whole matrix's (BLAS picks its kernel by shape); the
-float32 cast has absorbed every such difference tried, and the tests hold
-conv2d bit-equal to the untiled kernel with tiling forced on small shapes.
-The band height is a pure function of the layer shape and the two
-constants, never of threads, batch or free memory, so outputs are the same
-for any worker count. activate(..., inplace=True) lets the forward pass run
-the activation in place on the fresh float32 output.
+weights are folded) and stores the band into the float32 output. There is
+no padded copy of the input: with padding, a band's input rows are copied
+into a zero-bordered buffer that holds only that band's rows; without, the
+windows are read from the input itself. A column matrix of up to
+TILE_THRESHOLD_BYTES is one band; a larger one (the early layers, up to
+236 MB at 640) is cut into bands of at most BAND_BYTES (or one row, if a row
+is larger). The weights are cast to float64 and multiplied in blocks of
+filters of at most WEIGHT_BLOCK_BYTES (one GEMM per block into rows of the
+product); a layer that is one block (all but layer 16 of the reference
+nets) is cast once per call. A band's or block's float64 product may differ
+in the last bits from the whole matrix's (BLAS picks its kernel by shape);
+the float32 cast has absorbed every such difference tried, and the tests
+hold conv2d bit-equal to the untiled kernel with bands and blocks forced on
+small shapes. Band height and block size are pure functions of the layer
+shape and the constants, never of threads, batch or free memory, so
+outputs are the same for any worker count. activate(..., inplace=True) lets
+the forward pass run the activation in place on its own float32 output;
+leaky_relu then works through it LEAKY_SLAB elements at a time, so its
+0.1*x temporary stays small, and shortcut_add(..., out=current) adds into
+current.
 Max pooling is separable: a max along rows, then along columns.
 
 blas_threads(n) sets numpy's OpenBLAS thread count for the whole process
@@ -52,6 +62,11 @@ BN_EPSILON = 1e-6
 # one band; a larger one is built and multiplied BAND_BYTES at a time.
 TILE_THRESHOLD_BYTES = 16 << 20
 BAND_BYTES = 8 << 20
+# conv2d casts a layer's weights to float64 and multiplies them in blocks of
+# filters whose float64 copy fits this many bytes (at least one filter).
+WEIGHT_BLOCK_BYTES = 16 << 20
+# leaky_relu in place works through a map this many elements at a time.
+LEAKY_SLAB = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -147,7 +162,13 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
         raise ShapeError(f"kernel {k}x{k} (pad {p}) does not fit input {h}x{w}")
 
     n, depth = params.filters, c_in * k * k
-    flat_w = params.weights.reshape(n, depth).astype(np.float64)
+    flat_w = params.weights.reshape(n, depth)
+    # Filters are multiplied `block` at a time, each block's weights cast to
+    # float64 into one buffer; a layer that is one block is cast once.
+    block = min(n, max(1, WEIGHT_BLOCK_BYTES // (depth * 8)))
+    w64 = np.empty((block, depth), dtype=np.float64)
+    if block == n:
+        w64[:] = flat_w
     bn = params.batch_norm
     scale = None
     shift = params.bias.astype(np.float64)
@@ -157,22 +178,36 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
         scale = scale[:, None]
     shift = shift[:, None]
 
-    padded = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
     rows = _band_rows(c_in, k, oh, ow)
+    # With padding, each band's input rows are copied into one zero-bordered
+    # buffer; without, windows read x itself. Bands go down the image, so
+    # rows above it are never written; rows below it are zeroed per band.
+    band = np.zeros((c_in, (rows - 1) * s + k, w + 2 * p), dtype=x.dtype) if p else None
     col_buf = np.empty(depth * rows * ow, dtype=np.float64)
     prod_buf = np.empty(n * rows * ow, dtype=np.float64)
     out = np.empty((n, oh, ow), dtype=FLOAT)
     for y0 in range(0, oh, rows):
         r = min(rows, oh - y0)
+        top = y0 * s - p  # image row under the band's first window row
+        src = x
+        if p:
+            lo, hi = max(top, 0), min(top + (r - 1) * s + k, h)
+            band[:, hi - top:] = 0
+            band[:, lo - top:hi - top, p:p + w] = x[:, lo:hi]
+            src, top = band, 0
         # Column rows are (channel, ky, kx), columns the band's pixels; each
         # of the k*k shifted windows is copied, widened to float64, straight in.
         cols = col_buf[:depth * r * ow].reshape(c_in, k, k, r, ow)
         for ky in range(k):
             for kx in range(k):
-                cols[:, ky, kx] = padded[:, ky + y0 * s:ky + (y0 + r) * s:s,
-                                         kx:kx + ow * s:s]
-        prod = np.matmul(flat_w, cols.reshape(depth, r * ow),
-                         out=prod_buf[:n * r * ow].reshape(n, r * ow))
+                cols[:, ky, kx] = src[:, top + ky:top + ky + r * s:s, kx:kx + ow * s:s]
+        cols = cols.reshape(depth, r * ow)
+        prod = prod_buf[:n * r * ow].reshape(n, r * ow)
+        for f0 in range(0, n, block):
+            f1 = min(f0 + block, n)
+            if block < n:
+                w64[:f1 - f0] = flat_w[f0:f1]
+            np.matmul(w64[:f1 - f0], cols, out=prod[f0:f1])
         if scale is not None:
             prod *= scale
         prod += shift
@@ -243,18 +278,23 @@ def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(inputs, axis=0)
 
 
-def shortcut_add(current: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def shortcut_add(current: np.ndarray, skip: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Residual add with the min-channel rule.
 
     Channels 0..min(C_cur, C_skip) are elementwise sums; any remaining
     channels of `current` are copied unchanged. Output shape equals
-    current.shape, so spatial shapes must match.
+    current.shape, so spatial shapes must match. The result goes to a new
+    array, or with out=current into current itself.
     """
     _check_chw(current, "current")
     _check_chw(skip, "skip")
     if current.shape[1:] != skip.shape[1:]:
         raise ShapeError(f"shortcut spatial mismatch: {current.shape} vs {skip.shape}")
-    out = current.copy()
+    if out is None:
+        out = current.copy()
+    elif out is not current:
+        raise ValueError("shortcut_add writes to a new array or to current itself")
     m = min(current.shape[0], skip.shape[0])
     out[:m] += skip[:m]
     return out
@@ -282,7 +322,16 @@ def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     included. The result goes to a new array, or into out (which may be x).
     """
     x = np.asarray(x)
-    return np.maximum(x, x.dtype.type(0.1) * x, out=out)
+    slope = x.dtype.type(0.1)
+    if out is not x or not x.flags.c_contiguous:
+        return np.maximum(x, slope * x, out=out)
+    # in place: slab by slab, so the 0.1*x temporary stays LEAKY_SLAB long
+    flat = x.reshape(-1)
+    scaled = np.empty(min(flat.size, LEAKY_SLAB), dtype=x.dtype)
+    for i in range(0, flat.size, LEAKY_SLAB):
+        slab = flat[i:i + LEAKY_SLAB]
+        np.maximum(slab, np.multiply(slab, slope, out=scaled[:slab.size]), out=slab)
+    return x
 
 
 def activate(x: np.ndarray, kind: str, inplace: bool = False) -> np.ndarray:

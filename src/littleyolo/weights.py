@@ -154,8 +154,13 @@ def init_random(graph, seed: int):
 
 
 def load_weights_file(graph, path):
+    """load_weights from a file; a WeightsError names the file first."""
     with open(path, "rb") as fh:
-        return load_weights(graph, fh.read())
+        data = fh.read()
+    try:
+        return load_weights(graph, data)
+    except WeightsError as exc:
+        raise WeightsError(f"{path}: {exc}") from None
 
 
 def save_weights_file(graph, path) -> int:

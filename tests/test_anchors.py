@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ class TestWhIou:
     def test_shape(self):
         m = wh_iou(np.ones((5, 2)), np.ones((3, 2)))
         assert m.shape == (5, 3)
+
+    def test_zero_union_is_zero_iou(self):
+        # areas of 1e-200-sided boxes underflow to 0, so the union is 0
+        m = wh_iou(np.array([[1e-200, 1e-200], [0.5, 0.5]]), np.array([[1e-200, 1e-200]]))
+        assert m.tolist() == [[0.0], [0.0]]
+
+    def test_underflowing_box_keeps_costs_finite(self):
+        dims = np.array([[1e-200, 1e-200], [0.5, 0.5], [0.4, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            costs = lloyd_cluster(dims, 2, seed=0).costs
+        assert np.isfinite(costs).all()
 
 
 class TestSeeding:
@@ -155,7 +168,6 @@ class TestLloyd:
 def assert_same_cluster(got, want):
     np.testing.assert_array_equal(got.centroids, want.centroids)
     np.testing.assert_array_equal(got.assignments, want.assignments)
-    # costs are NaN where 0/0 IoUs are; assert_array_equal counts NaN == NaN
     np.testing.assert_array_equal(np.array(got.costs), np.array(want.costs))
     assert got.iterations == want.iterations
 
@@ -170,7 +182,7 @@ def outcome(fn, *args):
 
 # a few values per axis give duplicate boxes and argmin ties; the tiny grid
 # gives squared distances that underflow to 0 (the all-coincide fallback)
-# and 0/0 IoUs (NaN distances)
+# and unions that underflow to 0 (IoU 0)
 GRIDS = ((0.1, 0.2, 0.25, 0.5, 1.0), (1e-200, 2e-200, 3e-200, 0.5))
 
 

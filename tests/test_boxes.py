@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ class TestMatrixAndMSE:
         for i in range(3):
             assert np.array_equal(m[i], iou_matrix(a[i], b[i]))
         assert np.array_equal(iou_matrix(a, b[0]), np.stack([iou_matrix(x, b[0]) for x in a]))
+
+    def test_iou_matrix_memory(self):
+        # 1,500 x 1,500 pairs: an 18 MB result from three 18 MB buffers
+        # (eight full-size arrays peaked at 146 MB)
+        rng = np.random.default_rng(4)
+        boxes = random_boxes(rng, 1500)
+        tracemalloc.start()
+        try:
+            m = iou_matrix(boxes, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (1500, 1500)
+        assert peak <= 75e6, f"iou_matrix peaked at {peak / 1e6:.1f} MB"
 
     def test_iou_matrix_empty(self):
         m = iou_matrix(np.zeros((0, 4)), np.zeros((3, 4)))

@@ -6,15 +6,18 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from littleyolo.anchors import load_dims
-from littleyolo.config import KNOWN_KEYS, KNOWN_SECTIONS, lower_to_specs, parse_config
+from littleyolo.config import (KNOWN_KEYS, KNOWN_SECTIONS, load_config, lower_to_specs,
+                               parse_config)
 from littleyolo.evaluate import load_ground_truth, load_predictions
 from littleyolo.graph import build_graph
 from littleyolo.imaging import read_image
-from littleyolo.weights import WeightsError, init_random, load_weights, save_weights
+from littleyolo.weights import (WeightsError, init_random, load_weights, load_weights_file,
+                               save_weights)
 
 # tmp_path is reused across examples: each example overwrites its files
 FUZZ = settings(max_examples=120, deadline=None,
@@ -137,13 +140,17 @@ def weights_bytes(draw, blob):
 SMALL_BLOB = save_weights(init_random(build_graph(lower_to_specs(parse_config(SMALL_CFG))), 1))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=weights_bytes(SMALL_BLOB))
-def test_load_weights(data):
+def test_load_weights(tmp_path, data):
     graph = build_graph(lower_to_specs(parse_config(SMALL_CFG)))
     try:
         load_weights(graph, data)
     except WeightsError:
+        path = tmp_path / "small.weights"
+        path.write_bytes(data)
+        assert loads_or_names(path, load_weights_file, graph, path) is None
         return
     for layer in graph.layers:
         p = layer.params
@@ -166,17 +173,42 @@ CFG_LINE = st.one_of(
     st.text(max_size=8))
 
 
-@settings(max_examples=150, deadline=None)
-@given(lines=st.lists(CFG_LINE, max_size=25), net_first=st.booleans())
-def test_config_text(lines, net_first):
-    text = "\n".join((["[net]", "width=8", "height=8", "channels=3"] if net_first else [])
-                     + lines)
+CFG_TEXT = st.builds(
+    lambda lines, net_first: "\n".join(
+        (["[net]", "width=8", "height=8", "channels=3"] if net_first else []) + lines),
+    st.lists(CFG_LINE, max_size=25), st.booleans())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=text_file(CFG_TEXT))
+def test_config_text(tmp_path, data):
+    path = tmp_path / "net.cfg"
+    path.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unknown keys warn
+        specs = loads_or_names(path, load_config, path)
+    if specs is not None:
         try:
-            build_graph(lower_to_specs(parse_config(text)))
+            build_graph(specs)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("name, data, load", [
+    ("zeros.weights", bytes(64), lambda path: load_weights_file(
+        build_graph(lower_to_specs(parse_config(SMALL_CFG))), path)),
+    ("net.cfg", b"abc\n", load_config),
+    ("net.cfg", b"[net]\nwidth=8\xff\n", load_config),
+])
+def test_file_loader_errors_name_the_file(tmp_path, name, data, load):
+    # an unsupported version, a line that is not key=value, a byte that is
+    # not UTF-8: each message starts with the path
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # -------------------------------------------------------------- annotations

@@ -133,21 +133,25 @@ def test_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn, 
     assert np.array_equal(got, want)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(1, 24), st.integers(1, 24), st.sampled_from([1, 3, 5]),
        st.integers(1, 2), st.integers(0, 5), st.integers(1, 40), st.integers(1, 40),
-       st.booleans(), st.integers(0, 2**32 - 1), st.integers(1, 20000))
+       st.booleans(), st.integers(0, 2**32 - 1), st.integers(1, 20000),
+       st.one_of(st.just(1), st.integers(1, 40000)))
 def test_tiled_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn,
-                                          seed, band_bytes):
+                                          seed, band_bytes, block_bytes):
     # A zero threshold tiles every shape; band_bytes below one row's bytes
     # gives 1-row bands, larger values give bands of several rows with a
-    # short last band wherever they do not divide the output height.
+    # short last band wherever they do not divide the output height. With
+    # padding, the first and last bands reach into the zero border. Weight
+    # blocks below one filter's float64 bytes hold one filter each.
     case = seed_case(c_in, n, k, stride, padding, h, w, with_bn, seed)
     if case is None:
         return
     x, p = case
     with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
-            mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+            mock.patch.object(tensor, "BAND_BYTES", band_bytes), \
+            mock.patch.object(tensor, "WEIGHT_BLOCK_BYTES", block_bytes):
         got = conv2d(x, p)
     assert got.dtype == np.float32 and got.flags.c_contiguous
     assert np.array_equal(got, conv2d_seed(x, p))
@@ -355,6 +359,20 @@ class TestUpsampleConcatShortcut:
         shortcut_add(a, b)
         np.testing.assert_array_equal(a, np.ones((1, 2, 2)))
 
+    def test_shortcut_into_current(self):
+        rng = np.random.default_rng(10)
+        for channels in (4, 2, 6):  # skip narrower, as wide, wider
+            cur = rng.uniform(-1, 1, (4, 3, 5)).astype(np.float32)
+            skip = rng.uniform(-1, 1, (channels, 3, 5)).astype(np.float32)
+            want = shortcut_oracle(cur, skip)
+            assert shortcut_add(cur, skip, out=cur) is cur
+            np.testing.assert_array_equal(cur, want)
+
+    def test_shortcut_out_must_be_current(self):
+        a = np.ones((1, 2, 2), np.float32)
+        with pytest.raises(ValueError, match="current"):
+            shortcut_add(a, a.copy(), out=np.empty_like(a))
+
 
 class TestActivations:
     def test_leaky_values(self):
@@ -407,6 +425,26 @@ class TestActivations:
         got = leaky_relu(x)
         np.testing.assert_array_equal(got, want)
         assert (np.signbit(got) == np.signbit(want)).all()
+
+    def test_leaky_in_place_slabs_match_one_shot(self):
+        # 1,013 values in slabs of 7: a short last slab; NaN, signed zeros
+        # and the float32 extremes land in several slabs
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45,
+                            -1e-45, 3.4e38, -3.4e38], dtype=np.float32)
+        x = np.random.default_rng(8).standard_normal(1013).astype(np.float32)
+        x[::97] = np.resize(special, x[::97].size)
+        for shape in ((1013,), (1, 1013, 1)):
+            want = np.maximum(x, np.float32(0.1) * x)
+            y = x.reshape(shape).copy()
+            with mock.patch.object(tensor, "LEAKY_SLAB", 7):
+                assert leaky_relu(y, out=y) is y
+            assert y.tobytes() == want.tobytes()
+        # a strided view is done in one shot, into itself
+        base = np.repeat(x, 2)
+        view = base[::2]
+        leaky_relu(view, out=view)
+        assert view.tobytes() == want.tobytes()
+        assert base[1::2].tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "leaky", "mish"])
     def test_activate_leaves_input_unchanged(self, kind):

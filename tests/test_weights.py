@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from littleyolo.config import load_config, reference_config_path
 from littleyolo.graph import build_graph
+from littleyolo import rng as rng_mod
 from littleyolo.rng import splitmix64_stream, uniform_stream
 from littleyolo.weights import (HEADER_BYTES, WeightsError,
                                 expected_file_size, init_random,
@@ -45,6 +47,27 @@ class TestSplitMix64:
         scalar = SplitMix64(2024)
         assert uniform_stream(2024, 200, 0.0, 1.0).tolist() == [
             scalar.next_float() for _ in range(200)]
+
+    def test_streams_match_scalar_across_chunks(self, monkeypatch):
+        # chunks of 7 draws: 100 draws end in a short chunk
+        monkeypatch.setattr(rng_mod, "_CHUNK", 7)
+        scalar = SplitMix64(99)
+        want = [scalar.next_u64() for _ in range(100)]
+        assert splitmix64_stream(99, 100).tolist() == want
+        got = uniform_stream(99, 100, -0.1, 0.1)
+        assert got.tolist() == [-0.1 + (v >> 11) * 2.0**-53 * 0.2 for v in want]
+
+    def test_uniform_stream_memory(self):
+        # 8 MB of draws plus ~1.5 MB of chunk buffers; full-size uint64
+        # temporaries peaked at 24 MB
+        tracemalloc.start()
+        try:
+            draws = uniform_stream(5, 1_000_000, -0.1, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.nbytes == 8_000_000
+        assert peak <= 11e6, f"uniform_stream peaked at {peak / 1e6:.1f} MB"
 
     def test_uniform_stream_range_and_determinism(self):
         a = uniform_stream(9, 500, -0.1, 0.1)
