@@ -201,7 +201,7 @@ def _normalize(w: float, h: float, img_w: float, img_h: float) -> tuple[float, f
 def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
     """Collect normalized (w, h) pairs from a directory of VOC-style XML files."""
     out = []
-    files = sorted(Path(path).glob("*.xml"))
+    files = sorted(Path(path).glob("*.xml"), key=lambda p: p.name)
     for f in files:
         root = parse_voc_xml(f)
         size = root.find("size")

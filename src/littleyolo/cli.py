@@ -60,7 +60,7 @@ def _detect_one(g, image_path, args, names, out_dir=None):
     also write <stem>.json there and, with --annotate, <stem>.annotated.ppm."""
     image = imaging.read_image(image_path)
     h, w = image.shape[:2]
-    dets = pipeline.detect(g, imaging.to_chw_float(image),
+    dets = pipeline.detect(g, image.transpose(2, 0, 1),
                            conf_threshold=args.conf, nms_threshold=args.nms,
                            class_names=names)
     result = {
@@ -97,8 +97,8 @@ def cmd_detect(args) -> int:
     in_path = Path(args.input)
     images = None
     if in_path.is_dir():
-        images = sorted(p for p in in_path.iterdir()
-                        if p.suffix.lower() in IMAGE_SUFFIXES)
+        images = sorted((p for p in in_path.iterdir()
+                         if p.suffix.lower() in IMAGE_SUFFIXES), key=lambda p: p.name)
         if not images:
             raise ValueError(f"no images found in {in_path}")
         _check_output_names(images)
@@ -232,7 +232,7 @@ def cmd_info(args) -> int:
 
 def cmd_bench(args) -> int:
     g = _load_graph(args)
-    image = imaging.to_chw_float(imaging.read_image(args.input))
+    image = imaging.read_image(args.input).transpose(2, 0, 1)
     pipeline.detect(g, image)  # warmup
     samples = []
     for _ in range(args.iters):

@@ -244,7 +244,7 @@ def load_ground_truth(path) -> list[GroundTruth]:
 
 def _gt_from_voc_dir(p: Path) -> list[GroundTruth]:
     out = []
-    for f in sorted(p.glob("*.xml")):
+    for f in sorted(p.glob("*.xml"), key=lambda f: f.name):
         root = parse_voc_xml(f)
         image_id = f.stem
         for i, obj in enumerate(root.iter("object")):
@@ -323,7 +323,7 @@ def load_predictions(path) -> list[Prediction]:
     if p.is_dir():
         out = []
         source_of: dict[str, Path] = {}
-        for f in sorted(p.glob("*.json")):
+        for f in sorted(p.glob("*.json"), key=lambda f: f.name):
             if f.name == "index.json":
                 continue
             image_id, preds = _preds_from_detect_json(f)

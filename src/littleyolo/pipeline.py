@@ -76,24 +76,40 @@ def _resize_axis_indices(dst: int, src: int) -> tuple[np.ndarray, np.ndarray, np
     return lo, hi, frac
 
 
-def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resize of a (C, H, W) map, half-pixel convention."""
+def resize_bilinear(x: np.ndarray, out_h: int, out_w: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Separable bilinear resize of a (C, H, W) map, half-pixel convention.
+
+    x is float, or uint8 read as float32 x / 255 (the values
+    imaging.to_chw_float gives). One channel at a time, only the gathered
+    rows are widened, so no float copy of the whole source is made. The
+    float64 result is stored as float32 into `out`, or a new array.
+    """
     c, h, w = x.shape
     ylo, yhi, yf = _resize_axis_indices(out_h, h)
     xlo, xhi, xf = _resize_axis_indices(out_w, w)
-    rows = x[:, ylo, :] * (1 - yf)[None, :, None] + x[:, yhi, :] * yf[None, :, None]
-    out = rows[:, :, xlo] * (1 - xf)[None, None, :] + rows[:, :, xhi] * xf[None, None, :]
-    return out.astype(FLOAT)
+    if out is None:
+        out = np.empty((c, out_h, out_w), dtype=FLOAT)
+    for ch in range(c):
+        lo, hi = x[ch, ylo, :], x[ch, yhi, :]
+        if x.dtype == np.uint8:  # to_chw_float's widening, on these rows only
+            lo, hi = (r.astype(np.float32) / np.float32(255) for r in (lo, hi))
+        rows = lo * (1 - yf)[:, None]
+        rows += hi * yf[:, None]
+        out[ch] = rows[:, xlo] * (1 - xf) + rows[:, xhi] * xf
+    return out
 
 
 def letterbox(image: np.ndarray, net_w: int,
               net_h: int) -> tuple[np.ndarray, LetterboxTransform]:
     """Aspect-preserving resize onto a gray canvas, centered.
 
-    image: (3, H, W) float32 in [0, 1]. Returns the (3, net_h, net_w) network
-    tensor and the transform mapping original coordinates to network pixels
-    (x_net = x * scale + pad_x). The content is placed at integer offsets, so
-    pads are integral and the transform inverts exactly.
+    image: (3, H, W), float in [0, 1] or uint8 (such as the no-copy view
+    `frame.transpose(2, 0, 1)` of an (H, W, 3) frame), which gives the same
+    tensor as its imaging.to_chw_float image. Returns the (3, net_h, net_w)
+    float32 network tensor and the transform mapping original coordinates to
+    network pixels (x_net = x * scale + pad_x). The content is placed at
+    integer offsets, so pads are integral and the transform inverts exactly.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image tensor, got {image.shape}")
@@ -103,11 +119,11 @@ def letterbox(image: np.ndarray, net_w: int,
     scale = min(net_w / w, net_h / h)
     scaled_w = max(1, round(w * scale))
     scaled_h = max(1, round(h * scale))
-    content = resize_bilinear(image, scaled_h, scaled_w)
     pad_x = (net_w - scaled_w) // 2
     pad_y = (net_h - scaled_h) // 2
     canvas = np.full((3, net_h, net_w), GRAY_FILL, dtype=FLOAT)
-    canvas[:, pad_y:pad_y + scaled_h, pad_x:pad_x + scaled_w] = content
+    resize_bilinear(image, scaled_h, scaled_w,
+                    out=canvas[:, pad_y:pad_y + scaled_h, pad_x:pad_x + scaled_w])
     return canvas, LetterboxTransform(scale=scale, pad_x=float(pad_x),
                                       pad_y=float(pad_y), orig_w=w, orig_h=h)
 
@@ -245,10 +261,13 @@ def detect(graph: NetworkGraph, image: np.ndarray,
            conf_threshold: float = DEFAULT_CONF_THRESHOLD,
            nms_threshold: float = DEFAULT_NMS_THRESHOLD,
            class_names: tuple[str, ...] | None = None) -> list[Detection]:
-    """Full pipeline on one (3, H, W) float image in [0, 1].
+    """Full pipeline on one (3, H, W) image, float in [0, 1] or uint8 (see
+    letterbox).
 
     Each head decodes with the anchors and mask of its own yolo layer.
-    Returns detections in original-image pixel coordinates.
+    Returns detections in original-image pixel coordinates. A head that is
+    not finite raises ValueError: its NaN confidences would otherwise fail
+    every threshold and give no detections without a word.
     """
     heads = graph.yolo_layers
     if not heads:
@@ -264,6 +283,10 @@ def detect(graph: NetworkGraph, image: np.ndarray,
 
     candidates: list[Detection] = []
     for layer in heads:
+        if not np.isfinite(raw_heads[layer.index]).all():
+            raise ValueError(f"yolo layer {layer.index}: head output is not "
+                             "finite (a non-finite input, or a layer output "
+                             "past the float32 range)")
         raw = decode_yolo(raw_heads[layer.index], layer.spec.anchors,
                           layer.spec.mask, net_w, net_h, classes)
         candidates.extend(filter_confidence(raw, conf_threshold, names))

@@ -21,8 +21,8 @@ _MIX2 = 0x94D049BB133111EB
 _CHUNK = 1 << 16
 
 
-def _chunks(seed: int, count: int):
-    """Yield (start, z): z holds splitmix64 outputs start..start+len(z)-1 of
+def _chunks(seed: int, count: int, first: int = 0):
+    """Yield (start, z): z holds splitmix64 outputs first+start onwards of
     `seed`, in a uint64 buffer that the next chunk overwrites.
 
     The state after n steps is seed + n*golden (mod 2^64), so a chunk's
@@ -33,7 +33,7 @@ def _chunks(seed: int, count: int):
     for start in range(0, count, _CHUNK):
         n = min(_CHUNK, count - start)
         zs, ts = z[:n], t[:n]
-        zs[:] = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        zs[:] = np.arange(first + start + 1, first + start + n + 1, dtype=np.uint64)
         zs *= np.uint64(_GOLDEN)
         zs += np.uint64(seed & _MASK)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
@@ -53,13 +53,23 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def uniform_stream(seed: int, count: int, low: float, high: float) -> np.ndarray:
-    """`count` uniform float64 draws in [low, high), from each output's top 53 bits."""
-    out = np.empty(count, dtype=np.float64)
-    for start, z in _chunks(seed, count):
+def uniform_stream(seed: int, count: int, low: float, high: float,
+                   out: np.ndarray | None = None, first: int = 0) -> np.ndarray:
+    """Draws first..first+count-1 of `seed`'s stream, uniform in [low, high)
+    from each output's top 53 bits.
+
+    The values are float64; given `out` (shape (count,), e.g. float32), each
+    chunk's float64 values are cast into it, so no full float64 array exists.
+    """
+    if out is None:
+        out = np.empty(count, dtype=np.float64)
+    f = np.empty(min(count, _CHUNK), dtype=np.float64)
+    for start, z in _chunks(seed, count, first):
         z >>= np.uint64(11)
-        out[start:start + z.size] = z
-    out *= 2.0**-53
-    out *= high - low
-    out += low
+        fs = f[:z.size]
+        fs[:] = z
+        fs *= 2.0**-53
+        fs *= high - low
+        fs += low
+        out[start:start + z.size] = fs
     return out

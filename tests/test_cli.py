@@ -156,6 +156,22 @@ class TestDetect:
                                "--input", tiny_setup["image"])
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_non_finite_weight_fails_naming_file_and_layer(self, capsys, tiny_setup,
+                                                           directory):
+        # NaN weights used to give "detections": [] and exit 0
+        g = craft_planted_params(build_graph(lower_to_specs(parse_config(TINY_CFG))))
+        g.layers[3].params.weights[4, 0, 0, 0] = np.nan
+        wfile = tiny_setup["dir"] / "nan.weights"
+        save_weights_file(g, wfile)
+        src = self._image_dir(tiny_setup) if directory else tiny_setup["image"]
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", str(wfile), "--input", str(src),
+                                 "--output", str(tiny_setup["dir"] / "out"))
+        assert code == 1 and out == ""
+        assert err == f"error: {wfile}: layer 3: weights[4] is nan (1 non-finite values)\n"
+        assert not (tiny_setup["dir"] / "out").exists()
+
     def _image_dir(self, tiny_setup):
         d = tiny_setup["dir"] / "imgs"
         d.mkdir(exist_ok=True)

@@ -3,11 +3,12 @@
 loader that reads a file names that file first in its message."""
 
 import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from littleyolo.anchors import load_dims
@@ -127,8 +128,11 @@ def weights_bytes(draw, blob):
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(data)))
         patch = draw(st.binary(max_size=12))
-        kind = draw(st.sampled_from(["overwrite", "cut", "append"]))
-        if kind == "overwrite":
+        kind = draw(st.sampled_from(["overwrite", "cut", "append", "non-finite"]))
+        if kind == "non-finite":  # one whole float after the header
+            at = 20 + 4 * draw(st.integers(0, (len(blob) - 20) // 4 - 1))
+            data[at:at + 4] = struct.pack("<f", draw(st.sampled_from(NON_FINITE)))
+        elif kind == "overwrite":
             data[at:at + len(patch)] = patch
         elif kind == "cut":
             del data[at:]
@@ -137,12 +141,23 @@ def weights_bytes(draw, blob):
     return bytes(data)
 
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 SMALL_BLOB = save_weights(init_random(build_graph(lower_to_specs(parse_config(SMALL_CFG))), 1))
 
 
+def with_float(blob, index, value):
+    """blob with float `index` after the header replaced by `value`."""
+    return blob[:20 + 4 * index] + struct.pack("<f", value) + blob[24 + 4 * index:]
+
+
+# conv weights: layer 0's start after its 2 bias and 6 batch-norm values,
+# layer 1's after layer 0's 62 values and its 3 biases
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=weights_bytes(SMALL_BLOB))
+@example(data=with_float(SMALL_BLOB, 8, float("nan")))
+@example(data=with_float(SMALL_BLOB, 61, float("inf")))
+@example(data=with_float(SMALL_BLOB, 70, float("-inf")))
 def test_load_weights(tmp_path, data):
     graph = build_graph(lower_to_specs(parse_config(SMALL_CFG)))
     try:
@@ -155,7 +170,7 @@ def test_load_weights(tmp_path, data):
     for layer in graph.layers:
         p = layer.params
         if p is not None:
-            assert np.isfinite(p.bias).all()
+            assert np.isfinite(p.bias).all() and np.isfinite(p.weights).all()
             assert p.batch_norm is None or (p.batch_norm.var >= 0).all()
 
 

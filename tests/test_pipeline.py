@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, PLANTED_SIGMA9,
                       planted_image)
 from littleyolo import pipeline
+from littleyolo.imaging import to_chw_float
 from littleyolo.boxes import BBox, iou
 from littleyolo.pipeline import (Detection, LetterboxTransform,
                                  RawDetections, decode_yolo, detect,
@@ -102,6 +103,30 @@ class TestLetterbox:
             back = unletterbox([det], t)[0].bbox
             for got, want in zip(back, (ox1, oy1, min(ox2, w), min(oy2, h))):
                 assert abs(got - want) <= 0.5
+
+    @given(st.integers(1, 90), st.integers(1, 90), st.integers(1, 70),
+           st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_uint8_view_matches_float_image(self, w, h, net_w, net_h, seed):
+        # the CLI passes the no-copy (3, H, W) view of the uint8 frame
+        frame = np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
+        got, t_got = letterbox(frame.transpose(2, 0, 1), net_w, net_h)
+        want, t_want = letterbox(to_chw_float(frame), net_w, net_h)
+        assert got.dtype == want.dtype == np.float32 and t_got == t_want
+        np.testing.assert_array_equal(got, want)
+
+    def test_uint8_1080p_memory(self):
+        # output 4.9 MB plus one channel's widened rows; the float path,
+        # with its 24.9 MB input copy, peaked at 66.4 MB
+        frame = np.random.default_rng(3).integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            canvas, _ = letterbox(frame.transpose(2, 0, 1), 640, 640)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert canvas.shape == (3, 640, 640)
+        assert peak <= 30e6, f"letterbox peaked at {peak / 1e6:.1f} MB"
 
     def test_unletterbox_clamps(self):
         t = LetterboxTransform(scale=1.0, pad_x=0.0, pad_y=0.0, orig_w=10, orig_h=10)
@@ -377,6 +402,25 @@ class TestDetect:
         assert isinstance(candidates[0], Detection) and threshold == 0.3
         assert len(dets) == 2 and dets[0] == dets[1]
         np.testing.assert_allclose(tuple(dets[0].bbox), PLANTED_BOX, atol=1e-5)
+
+    def test_uint8_view_same_detections(self, tiny_graph):
+        init_random(tiny_graph, seed=21)
+        frame = np.random.default_rng(6).integers(0, 256, (45, 37, 3), dtype=np.uint8)
+        assert detect(tiny_graph, frame.transpose(2, 0, 1), conf_threshold=0.1) == \
+            detect(tiny_graph, to_chw_float(frame), conf_threshold=0.1)
+
+    def test_nan_in_a_head_raises(self, planted_tiny):
+        # NaN confidences fail every threshold, which would read as an
+        # empty image
+        planted_tiny.layers[7].params.bias[8] = np.nan
+        with pytest.raises(ValueError, match="yolo layer 8: head output is not finite"):
+            detect(planted_tiny, planted_image())
+
+    def test_nan_image_raises(self, planted_tiny):
+        img = planted_image()
+        img[1, 8, 8] = np.nan  # a pixel the stride-2 convs sample
+        with pytest.raises(ValueError, match="not finite"):
+            detect(planted_tiny, img)
 
     def test_headless_graph_rejected(self):
         from littleyolo.config import Convolutional, NetParams

@@ -58,7 +58,7 @@ class TestSplitMix64:
         assert got.tolist() == [-0.1 + (v >> 11) * 2.0**-53 * 0.2 for v in want]
 
     def test_uniform_stream_memory(self):
-        # 8 MB of draws plus ~1.5 MB of chunk buffers; full-size uint64
+        # 8 MB of draws plus ~2 MB of chunk buffers; full-size uint64
         # temporaries peaked at 24 MB
         tracemalloc.start()
         try:
@@ -68,6 +68,14 @@ class TestSplitMix64:
             tracemalloc.stop()
         assert draws.nbytes == 8_000_000
         assert peak <= 11e6, f"uniform_stream peaked at {peak / 1e6:.1f} MB"
+
+    def test_uniform_stream_into_float32_from_an_offset(self, monkeypatch):
+        # init_random draws each layer's slice straight into its buffer
+        monkeypatch.setattr(rng_mod, "_CHUNK", 7)
+        whole = uniform_stream(4, 100, -0.1, 0.1)
+        out = np.full(60, np.nan, dtype=np.float32)
+        assert uniform_stream(4, 60, -0.1, 0.1, out=out, first=33) is out
+        np.testing.assert_array_equal(out, whole[33:93].astype(np.float32))
 
     def test_uniform_stream_range_and_determinism(self):
         a = uniform_stream(9, 500, -0.1, 0.1)
@@ -271,6 +279,88 @@ class TestBadChannelValues:
         blob = _with_value(bn_populated, 0, "var", 0.0)
         g2 = load_weights(build_graph_copy(bn_populated), blob)
         assert g2.layers[0].params.batch_norm.var[1] == 0.0
+
+
+def _with_weight(graph, index, pos, value):
+    """Weights stream of graph with one conv weight (flat index) replaced."""
+    import copy
+    g = copy.deepcopy(graph)
+    g.layers[index].params.weights.reshape(-1)[pos] = value
+    return save_weights(g)
+
+
+class TestBadWeights:
+    @pytest.mark.parametrize("value,shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                             (-np.inf, "-inf")])
+    def test_non_finite_weight_names_layer_and_index(self, bn_populated, value, shown):
+        blob = _with_weight(bn_populated, 1, 13, value)
+        with pytest.raises(WeightsError, match=rf"layer 1: weights\[13\] is {shown} "
+                                               r"\(1 non-finite values\)"):
+            load_weights(build_graph_copy(bn_populated), blob)
+
+    def test_file_error_names_file_and_layer(self, bn_populated, tmp_path):
+        path = tmp_path / "nan.weights"
+        path.write_bytes(_with_weight(bn_populated, 2, 0, np.nan))
+        with pytest.raises(WeightsError) as err:
+            load_weights_file(build_graph_copy(bn_populated), path)
+        assert str(err.value) == f"{path}: layer 2: weights[0] is nan (1 non-finite values)"
+
+    @pytest.mark.parametrize("value", [3e38, -3e38, np.finfo(np.float32).max])
+    def test_finite_extremes_load(self, bn_populated, value):
+        # v @ v overflows on these, so the value-by-value check decides
+        blob = _with_weight(bn_populated, 0, 5, value)
+        g2 = load_weights(build_graph_copy(bn_populated), blob)
+        assert g2.layers[0].params.weights.reshape(-1)[5] == np.float32(value)
+
+
+class TestOneBuffer:
+    def test_layers_view_one_buffer(self, bn_populated, tmp_path):
+        path = tmp_path / "bn.weights"
+        save_weights_file(bn_populated, path)
+        for g in (bn_populated, load_weights_file(build_graph_copy(bn_populated), path),
+                  load_weights(build_graph_copy(bn_populated), path.read_bytes())):
+            arrays = [a for layer in g.layers if layer.params is not None
+                      for a in (layer.params.weights, layer.params.bias,
+                                *(() if layer.params.batch_norm is None else
+                                  (layer.params.batch_norm.gamma, layer.params.batch_norm.var)))]
+            assert len({id(a.base) for a in arrays}) == 1
+            assert all(a.dtype == np.float32 for a in arrays)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_init_random_is_the_stream_in_graph_order(self, bn_populated, seed, monkeypatch):
+        # chunks of 7 draws cross every layer boundary
+        monkeypatch.setattr(rng_mod, "_CHUNK", 7)
+        g = init_random(build_graph_copy(bn_populated), seed)
+        weights = [layer.params.weights.reshape(-1) for layer in g.layers
+                   if layer.params is not None]
+        want = uniform_stream(seed, sum(w.size for w in weights), -0.1, 0.1)
+        np.testing.assert_array_equal(np.concatenate(weights), want.astype("<f4"))
+
+    def test_load_weights_file_memory(self, ref_graph_randomized_640, tmp_path):
+        # the 49.8 MB model once; holding the file's bytes while copying
+        # every slice peaked at 99.7 MB
+        path = tmp_path / "ref640.weights"
+        save_weights_file(ref_graph_randomized_640, path)
+        g = build_graph(load_config(reference_config_path(640)))
+        tracemalloc.start()
+        try:
+            load_weights_file(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 55e6, f"load_weights_file peaked at {peak / 1e6:.1f} MB"
+
+    def test_init_random_memory(self, ref_specs_416):
+        # the buffer plus chunk workspaces; holding the float64 draws, their
+        # float32 copy and the joined bytes peaked at 199.3 MB
+        g = build_graph(ref_specs_416)
+        tracemalloc.start()
+        try:
+            init_random(g, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70e6, f"init_random peaked at {peak / 1e6:.1f} MB"
 
 
 class TestSizes:
