@@ -26,6 +26,7 @@ DISTANCES = ("one_minus_iou", "euclidean")
 # reference-network mask layout for k = 6: fine 26x26 head gets the three
 # smallest anchors, coarse 13x13 head (first in graph order) the three largest
 REFERENCE_MASKS = ((3, 4, 5), (0, 1, 2))
+MAX_ITERS = 100  # Lloyd iterations per seeding, at most
 
 
 class AnchorSet(NamedTuple):
@@ -98,12 +99,12 @@ class ClusterResult:
 
 
 def lloyd_cluster(dims: np.ndarray, k: int, distance: str = "one_minus_iou",
-                  seed: int = 0, max_iters: int = 100) -> ClusterResult:
+                  seed: int = 0) -> ClusterResult:
     """Lloyd iterations from a k-means++ seeding.
 
     Centroid updates are arithmetic means of assigned boxes. An empty cluster
     is re-seeded from the point farthest from its nearest centroid. The loop
-    stops at an assignment fixpoint, at max_iters, or just before any update
+    stops at an assignment fixpoint, at MAX_ITERS, or just before any update
     that would increase total within-cluster distance, so the recorded costs
     are non-increasing.
     """
@@ -115,7 +116,7 @@ def lloyd_cluster(dims: np.ndarray, k: int, distance: str = "one_minus_iou",
     d = _distance_matrix(dims, centroids, distance)
     assign = d.argmin(axis=1)
     costs = [float(d[rows, assign].sum())]
-    for iteration in range(1, max_iters + 1):
+    for _ in range(MAX_ITERS):
         new_centroids = centroids.copy()
         for c in range(k):
             members = dims[assign == c]
@@ -144,8 +145,7 @@ def lloyd_cluster(dims: np.ndarray, k: int, distance: str = "one_minus_iou",
 
 
 def cluster_anchors(dims: np.ndarray, k: int = 6, distance: str = "one_minus_iou",
-                    seed: int = 0, max_iters: int = 100,
-                    net_w: int = 416, net_h: int = 416,
+                    seed: int = 0, net_w: int = 416, net_h: int = 416,
                     restarts: int = 10) -> AnchorSet:
     """Cluster normalized (w, h) dims into k anchors in network pixels.
 
@@ -160,8 +160,7 @@ def cluster_anchors(dims: np.ndarray, k: int = 6, distance: str = "one_minus_iou
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     result = None
     for r in range(restarts):
-        candidate = lloyd_cluster(dims, k, distance=distance, seed=seed + r,
-                                  max_iters=max_iters)
+        candidate = lloyd_cluster(dims, k, distance=distance, seed=seed + r)
         if result is None or candidate.costs[-1] < result.costs[-1]:
             result = candidate
     scaled = result.centroids * np.array([net_w, net_h], dtype=np.float64)

@@ -35,19 +35,6 @@ class BBox(NamedTuple):
     def area(self) -> float:
         return self.width * self.height
 
-    @classmethod
-    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
-        return cls(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-
-    def to_center(self) -> tuple[float, float, float, float]:
-        return ((self.x1 + self.x2) / 2, (self.y1 + self.y2) / 2,
-                self.width, self.height)
-
-    def normalized(self) -> "BBox":
-        """Reorder corners so x1 <= x2 and y1 <= y2."""
-        return BBox(min(self.x1, self.x2), min(self.y1, self.y2),
-                    max(self.x1, self.x2), max(self.y1, self.y2))
-
 
 @dataclass(frozen=True)
 class GIoUBreakdown:

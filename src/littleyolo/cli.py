@@ -38,7 +38,10 @@ def _load_graph(args):
 
 
 def _read_names(path) -> tuple[str, ...]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except ValueError as exc:  # not UTF-8
+        raise ValueError(f"names file {path}: {exc}") from None
     names = tuple(n.strip() for n in lines if n.strip())
     if not names:
         raise ValueError(f"names file {path} is empty")
@@ -60,9 +63,12 @@ def _detect_one(g, image_path, args, names, out_dir=None):
     also write <stem>.json there and, with --annotate, <stem>.annotated.ppm."""
     image = imaging.read_image(image_path)
     h, w = image.shape[:2]
-    dets = pipeline.detect(g, image.transpose(2, 0, 1),
-                           conf_threshold=args.conf, nms_threshold=args.nms,
-                           class_names=names)
+    try:
+        dets = pipeline.detect(g, image.transpose(2, 0, 1),
+                               conf_threshold=args.conf, nms_threshold=args.nms,
+                               class_names=names)
+    except ValueError as exc:  # read errors name the file already
+        raise ValueError(f"{image_path}: {exc}") from None
     result = {
         "image": str(image_path),
         "width": w,
@@ -108,6 +114,10 @@ def cmd_detect(args) -> int:
     if not g.yolo_layers:
         raise ValueError("config has no yolo heads; nothing to detect")
     names = _read_names(args.names) if args.names else None
+    classes = g.yolo_layers[0].spec.classes
+    if names is not None and len(names) != classes:
+        raise ValueError(f"names file {args.names} has {len(names)} names, "
+                         f"but the net has {classes} classes")
     out_dir = Path(args.output) if args.output else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

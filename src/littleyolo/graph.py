@@ -52,21 +52,17 @@ class NetworkGraph:
                    if isinstance(l.spec, Convolutional))
 
 
-def build_graph(specs: list[NetParams | LayerSpec],
-                input_shape: tuple[int, int, int] | None = None) -> NetworkGraph:
+def build_graph(specs: list[NetParams | LayerSpec]) -> NetworkGraph:
     """Wire lowered specs into a shape-checked graph.
 
-    specs normally starts with NetParams (as lower_to_specs produces);
-    input_shape overrides it when given. Conv parameters start empty; use
+    specs starts with NetParams, as lower_to_specs produces (the CLI's
+    --size replaces that spec). Conv parameters start empty; use
     weights.load_weights or weights.init_random to populate them.
     """
-    layer_specs = list(specs)
-    if layer_specs and isinstance(layer_specs[0], NetParams):
-        net = layer_specs.pop(0)
-        if input_shape is None:
-            input_shape = (net.channels, net.height, net.width)
-    if input_shape is None:
-        raise GraphError("no NetParams spec and no explicit input_shape")
+    if not specs or not isinstance(specs[0], NetParams):
+        raise GraphError("specs must start with NetParams")
+    net, layer_specs = specs[0], specs[1:]
+    input_shape = (net.channels, net.height, net.width)
 
     graph = NetworkGraph(input_shape=input_shape)
     shapes: list[tuple[int, int, int]] = []  # per-layer output shapes
@@ -180,8 +176,7 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
         src = [live[r] for r in layer.inputs]
         # conv and shortcut outputs are this layer's own: activate them in place
         if isinstance(spec, Convolutional):
-            out = tensor.activate(tensor.conv2d(src[0], layer.params), spec.activation,
-                                  inplace=True)
+            out = tensor.activate(tensor.conv2d(src[0], layer.params), spec.activation)
         elif isinstance(spec, Maxpool):
             out = tensor.maxpool(src[0], spec.size, spec.stride, spec.padding)
         elif isinstance(spec, Route):
@@ -193,7 +188,7 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
             inplace = cur in layer.frees and cur not in (NET_INPUT, skip)
             out = tensor.activate(tensor.shortcut_add(src[0], src[1],
                                                       out=src[0] if inplace else None),
-                                  spec.activation, inplace=True)
+                                  spec.activation)
         elif isinstance(spec, Upsample):
             out = tensor.upsample_nearest(src[0], spec.stride)
         else:  # Yolo: passthrough

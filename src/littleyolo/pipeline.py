@@ -76,20 +76,19 @@ def _resize_axis_indices(dst: int, src: int) -> tuple[np.ndarray, np.ndarray, np
     return lo, hi, frac
 
 
-def resize_bilinear(x: np.ndarray, out_h: int, out_w: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Separable bilinear resize of a (C, H, W) map, half-pixel convention.
+def resize_bilinear(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Separable bilinear resize of a (C, H, W) map into `out`, a float32
+    (C, out_h, out_w) array, half-pixel convention; returns out.
 
     x is float, or uint8 read as float32 x / 255 (the values
     imaging.to_chw_float gives). One channel at a time, only the gathered
     rows are widened, so no float copy of the whole source is made. The
-    float64 result is stored as float32 into `out`, or a new array.
+    float64 result is stored as float32 into out.
     """
     c, h, w = x.shape
+    _, out_h, out_w = out.shape
     ylo, yhi, yf = _resize_axis_indices(out_h, h)
     xlo, xhi, xf = _resize_axis_indices(out_w, w)
-    if out is None:
-        out = np.empty((c, out_h, out_w), dtype=FLOAT)
     for ch in range(c):
         lo, hi = x[ch, ylo, :], x[ch, yhi, :]
         if x.dtype == np.uint8:  # to_chw_float's widening, on these rows only
@@ -122,8 +121,7 @@ def letterbox(image: np.ndarray, net_w: int,
     pad_x = (net_w - scaled_w) // 2
     pad_y = (net_h - scaled_h) // 2
     canvas = np.full((3, net_h, net_w), GRAY_FILL, dtype=FLOAT)
-    resize_bilinear(image, scaled_h, scaled_w,
-                    out=canvas[:, pad_y:pad_y + scaled_h, pad_x:pad_x + scaled_w])
+    resize_bilinear(image, canvas[:, pad_y:pad_y + scaled_h, pad_x:pad_x + scaled_w])
     return canvas, LetterboxTransform(scale=scale, pad_x=float(pad_x),
                                       pad_y=float(pad_y), orig_w=w, orig_h=h)
 
@@ -265,9 +263,11 @@ def detect(graph: NetworkGraph, image: np.ndarray,
     letterbox).
 
     Each head decodes with the anchors and mask of its own yolo layer.
-    Returns detections in original-image pixel coordinates. A head that is
-    not finite raises ValueError: its NaN confidences would otherwise fail
-    every threshold and give no detections without a word.
+    Returns detections in original-image pixel coordinates. class_names,
+    when given, holds one name per class. A head that is not finite raises
+    ValueError: its NaN confidences would otherwise fail every threshold and
+    give no detections without a word; numpy's overflow warnings on the way
+    are silenced.
     """
     heads = graph.yolo_layers
     if not heads:
@@ -276,10 +276,13 @@ def detect(graph: NetworkGraph, image: np.ndarray,
     if any(l.spec.classes != classes for l in heads):
         raise ShapeError("yolo layers disagree on class count")
     names = class_names or class_names_for(classes)
+    if len(names) != classes:
+        raise ValueError(f"{len(names)} class names for {classes} classes")
 
     _, net_h, net_w = graph.input_shape
     tensor_in, transform = letterbox(image, net_w, net_h)
-    raw_heads = forward(graph, tensor_in)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_heads = forward(graph, tensor_in)
 
     candidates: list[Detection] = []
     for layer in heads:

@@ -1,45 +1,16 @@
 """Feature maps and the network kernels that act on them.
 
-A feature map is a numpy array of shape (channels, height, width), float32,
-C-contiguous, so the flat buffer is channel-major: index = c*H*W + y*W + x.
-There is no batch dimension. Every kernel here is a function of its inputs
-alone and runs on the CPU; none writes to its inputs unless asked to
-(activate's inplace mode, the out argument of mish, leaky_relu and
-shortcut_add).
+A feature map is a float32, C-contiguous (channels, height, width) array
+with no batch dimension. Kernels return new arrays, except the activations,
+which overwrite their input, and shortcut_add(..., out=current). README.md's
+tensor bullet describes conv2d's row bands and filter blocks.
 
-Convolution accumulates in float64 (im2col + BLAS matmul) and casts the
-result back to float32, which keeps it comfortably inside the 1e-5 relative
-tolerance against a direct-definition oracle. conv2d walks the output in
-bands of rows: it copies a band's k*k shifted windows of the float32 input,
-widened to float64, into one column buffer reused for every band,
-multiplies, applies batch norm and bias in place on the float64 product (no
-weights are folded) and stores the band into the float32 output. There is
-no padded copy of the input: with padding, a band's input rows are copied
-into a zero-bordered buffer that holds only that band's rows; without, the
-windows are read from the input itself. A column matrix of up to
-TILE_THRESHOLD_BYTES is one band; a larger one (the early layers, up to
-236 MB at 640) is cut into bands of at most BAND_BYTES (or one row, if a row
-is larger). The weights are cast to float64 and multiplied in blocks of
-filters of at most WEIGHT_BLOCK_BYTES (one GEMM per block into rows of the
-product); a layer that is one block (all but layer 16 of the reference
-nets) is cast once per call. A band's or block's float64 product may differ
-in the last bits from the whole matrix's (BLAS picks its kernel by shape);
-the float32 cast has absorbed every such difference tried, and the tests
-hold conv2d bit-equal to the untiled kernel with bands and blocks forced on
-small shapes. Band height and block size are pure functions of the layer
-shape and the constants, never of threads, batch or free memory, so
-outputs are the same for any worker count. activate(..., inplace=True) lets
-the forward pass run the activation in place on its own float32 output;
-leaky_relu then works through it LEAKY_SLAB elements at a time, so its
-0.1*x temporary stays small, and shortcut_add(..., out=current) adds into
-current.
-Max pooling is separable: a max along rows, then along columns.
-
-blas_threads(n) sets numpy's OpenBLAS thread count for the whole process
-while it is entered (the CLI splits the threads among directory workers);
-with any other BLAS it does nothing. The thread count, too, can change a
-float64 product in the last bits; the tests hold the heads of the 416 and
-640 reference nets bit-equal at one thread and at the default count.
+conv2d accumulates in float64 and casts to float32, within 1e-5 relative of
+a direct-definition oracle. A band's or filter block's float64 product, or
+another BLAS thread count (blas_threads), may change the product's last
+bits; the float32 cast has absorbed every such difference tried. The tests
+hold conv2d bit-equal to the untiled kernel, and the reference heads
+bit-equal at one BLAS thread and at the default count.
 """
 
 from __future__ import annotations
@@ -54,7 +25,7 @@ import numpy as np
 
 FLOAT = np.float32
 
-ACTIVATIONS = ("linear", "leaky", "mish")
+ACTIVATIONS = ("linear", "leaky")
 
 BN_EPSILON = 1e-6
 
@@ -65,7 +36,7 @@ BAND_BYTES = 8 << 20
 # conv2d casts a layer's weights to float64 and multiplies them in blocks of
 # filters whose float64 copy fits this many bytes (at least one filter).
 WEIGHT_BLOCK_BYTES = 16 << 20
-# leaky_relu in place works through a map this many elements at a time.
+# leaky_relu works through a map this many elements at a time.
 LEAKY_SLAB = 1 << 16
 
 
@@ -300,32 +271,16 @@ def shortcut_add(current: np.ndarray, skip: np.ndarray,
     return out
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # For x > 20, softplus(x) - x < 3e-9, far below float32 resolution there.
-    safe = np.minimum(x, x.dtype.type(20.0))
-    return np.where(x > 20.0, x, np.log1p(np.exp(safe)))
-
-
-def mish(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """mish(x) = x * tanh(softplus(x)), overflow-safe, dtype-preserving.
-
-    The result goes to a new array, or into out (which may be x itself).
-    """
-    x = np.asarray(x)
-    return np.multiply(x, np.tanh(_softplus(x)), out=out)
-
-
-def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """max(x, 0.1*x): the conventional darknet leaky slope.
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """max(x, 0.1*x) in place, the conventional darknet leaky slope; returns x.
 
     Equal to x where x > 0 and 0.1*x elsewhere, signed zeros and NaN
-    included. The result goes to a new array, or into out (which may be x).
+    included. A C-contiguous x is done LEAKY_SLAB elements at a time, so
+    the 0.1*x temporary stays small; any other x in one shot.
     """
-    x = np.asarray(x)
     slope = x.dtype.type(0.1)
-    if out is not x or not x.flags.c_contiguous:
-        return np.maximum(x, slope * x, out=out)
-    # in place: slab by slab, so the 0.1*x temporary stays LEAKY_SLAB long
+    if not x.flags.c_contiguous:
+        return np.maximum(x, slope * x, out=x)
     flat = x.reshape(-1)
     scaled = np.empty(min(flat.size, LEAKY_SLAB), dtype=x.dtype)
     for i in range(0, flat.size, LEAKY_SLAB):
@@ -334,19 +289,15 @@ def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def activate(x: np.ndarray, kind: str, inplace: bool = False) -> np.ndarray:
-    """Apply a named activation elementwise. kind is one of ACTIVATIONS.
+def activate(x: np.ndarray, kind: str) -> np.ndarray:
+    """Apply a named activation (one of ACTIVATIONS) to x in place; returns x.
 
-    Returns a new array; with inplace=True, x (a writable float array) is
-    overwritten with the result and returned, and linear is a no-op.
+    x is a writable float array; linear leaves it as it is.
     """
-    out = x if inplace else None
     if kind == "linear":
-        return x if inplace else np.asarray(x).copy()
+        return x
     if kind == "leaky":
-        return leaky_relu(x, out)
-    if kind == "mish":
-        return mish(x, out)
+        return leaky_relu(x)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 

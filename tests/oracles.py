@@ -299,14 +299,10 @@ def maxpool_seed(x, size, stride, padding):
 
 def activate_seed(x, kind):
     """Named activation that always allocates: a copy for linear, np.where
-    for leaky, the package's mish."""
-    from littleyolo import tensor
-
+    for leaky."""
     if kind == "linear":
         return np.asarray(x).copy()
-    if kind == "leaky":
-        return np.where(x > 0, x, x.dtype.type(0.1) * x)
-    return tensor.mish(x)
+    return np.where(x > 0, x, x.dtype.type(0.1) * x)
 
 
 def forward_seed(graph, x):
@@ -346,7 +342,7 @@ def forward_seed(graph, x):
 
 class SplitMix64:
     """Scalar splitmix64 (Steele, Lea & Flood, OOPSLA 2014), one output per
-    call; rng.splitmix64_stream and rng.uniform_stream must match it."""
+    call; rng.uniform_stream must match it."""
 
     _MASK = (1 << 64) - 1
 

@@ -154,6 +154,15 @@ class TestLloyd:
         with pytest.raises(ValueError, match="no box"):
             lloyd_cluster(np.zeros((0, 2)), 2, seed=0)
 
+    def test_iteration_cap(self, monkeypatch):
+        # the loop stops after MAX_ITERS updates, with the costs so far
+        dims = np.random.default_rng(2).uniform(0.01, 1.0, (1000, 2))
+        free = lloyd_cluster(dims, 6, seed=2)
+        assert free.iterations > 2
+        monkeypatch.setattr(anchors, "MAX_ITERS", 2)
+        capped = lloyd_cluster(dims, 6, seed=2)
+        assert capped.iterations == 2 and capped.costs == free.costs[:3]
+
     def test_result_fields(self):
         rng = np.random.default_rng(5)
         _, dims = six_cluster_corpus(rng, 30)

@@ -40,13 +40,6 @@ class TestBBox:
         b = BBox(1, 2, 4, 8)
         assert b.width == 3 and b.height == 6 and b.area == 18
 
-    def test_center_round_trip(self):
-        b = BBox(1, 2, 4, 8)
-        assert BBox.from_center(*b.to_center()) == b
-
-    def test_normalized_swaps_corners(self):
-        assert BBox(4, 8, 1, 2).normalized() == BBox(1, 2, 4, 8)
-
 
 class TestHandValues:
     def test_iou_one_seventh(self):

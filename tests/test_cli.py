@@ -371,6 +371,61 @@ class TestDetect:
         assert code == 1 and "index.ppm" in err and "index.json" in err
 
 
+    @pytest.mark.parametrize("directory", [False, True])
+    @pytest.mark.parametrize("lines", ["car\n", "car\nbus\nvan\n"], ids=["one", "three"])
+    def test_names_count_must_match_classes(self, capsys, tiny_setup, directory,
+                                            lines):
+        # rejected before any image runs, so no output directory is made
+        names = tiny_setup["dir"] / "names.txt"
+        names.write_text(lines, encoding="utf-8")
+        src = self._image_dir(tiny_setup) if directory else tiny_setup["image"]
+        out_dir = tiny_setup["dir"] / "out"
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", str(src), "--output", str(out_dir),
+                                 "--names", str(names))
+        count = len(lines.splitlines())
+        assert code == 1 and out == ""
+        assert err == (f"error: names file {names} has {count} names, "
+                       "but the net has 2 classes\n")
+        assert not out_dir.exists()
+
+    def test_names_file_not_utf8_is_named(self, capsys, tiny_setup):
+        names = tiny_setup["dir"] / "names.txt"
+        names.write_bytes("v\u00e9hicule\nbus\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", tiny_setup["weights"],
+                                 "--input", tiny_setup["image"], "--names", str(names))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: names file {names}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings stay quiet
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_detect_failure_names_the_image(self, capsys, tiny_setup, directory):
+        # finite 3e38 weights load, but overflow float32 on a white image
+        g = craft_planted_params(build_graph(lower_to_specs(parse_config(TINY_CFG))))
+        g.layers[0].params.weights[:] = 3e38
+        wfile = tiny_setup["dir"] / "big.weights"
+        save_weights_file(g, wfile)
+        d = tiny_setup["dir"] / "imgs"
+        d.mkdir()
+        white = write_ppm_image(d / "white.ppm", np.full((32, 32, 3), 255, np.uint8))
+        write_ppm_image(d / "dark.ppm", np.zeros((32, 32, 3), np.uint8))
+        out_dir = tiny_setup["dir"] / "out"
+        code, out, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                                 "--weights", str(wfile),
+                                 "--input", str(d if directory else white),
+                                 "--output", str(out_dir))
+        assert code == 1
+        assert err.startswith(f"error: {white}: yolo layer 4: head output is not finite")
+        assert err.count("\n") == 1
+        if directory:
+            assert "processed 1 images" in out
+            rows = json.loads((out_dir / "index.json").read_text())["results"]
+            assert [r["image"] for r in rows if "error" in r] == [str(white)]
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("size", ["0", "-416"])
     @pytest.mark.parametrize("command", ["info", "detect", "bench", "anchors"])

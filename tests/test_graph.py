@@ -59,8 +59,11 @@ class TestBuild:
         assert flops(ref_graph_416) == pytest.approx(15.2786, abs=5e-4)
 
     def test_input_shape_override(self):
+        # the CLI's --size replaces the NetParams spec in the same way
         specs = load_config(reference_config_path(416))
-        g = build_graph(specs, input_shape=(3, 832, 416))
+        specs[0] = NetParams(width=416, height=832, channels=3)
+        g = build_graph(specs)
+        assert g.input_shape == (3, 832, 416)
         assert g.layers[25].out_shape == (21, 26, 13)
 
     def test_640_head_grids(self):
@@ -85,11 +88,10 @@ class TestBuild:
         assert g.layers[-1].out_shape == (4, 4, 4)
         assert g.yolo_layers == []
 
-    def test_no_net_params_needs_input_shape(self):
-        with pytest.raises(GraphError, match="input_shape"):
-            build_graph([CONV])
-        g = build_graph([CONV], input_shape=(3, 8, 8))
-        assert g.layers[0].out_shape == (4, 8, 8)
+    def test_specs_must_start_with_net_params(self):
+        for specs in ([], [CONV], [CONV, NET8]):
+            with pytest.raises(GraphError, match="NetParams"):
+                build_graph(specs)
 
 
 class TestBuildErrors:
@@ -194,7 +196,7 @@ class TestForward:
         assert all(np.isfinite(v).all() for v in heads.values())
 
 
-# Every op kind forward runs, with mish/leaky/linear convs (with and without
+# Every op kind forward runs, with leaky/linear convs (with and without
 # batch norm), a leaky shortcut, a pool, two routes and an upsample.
 MIXED_CFG = """\
 [net]
@@ -208,7 +210,7 @@ size=3
 stride=1
 pad=1
 batch_normalize=1
-activation=mish
+activation=leaky
 
 [convolutional]
 filters=8
@@ -293,7 +295,7 @@ size=3
 stride=1
 pad=1
 batch_normalize=1
-activation=mish
+activation=leaky
 
 [convolutional]
 filters=8

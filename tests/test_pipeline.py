@@ -28,22 +28,28 @@ def make_det(box, conf, class_id=0):
                      objectness=conf, class_prob=1.0, confidence=conf)
 
 
+def resize(x, out_h, out_w):
+    out = np.empty((x.shape[0], out_h, out_w), dtype=np.float32)
+    assert resize_bilinear(x, out) is out
+    return out
+
+
 class TestResize:
     def test_same_size_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, (3, 7, 9)).astype(np.float32)
-        np.testing.assert_array_equal(resize_bilinear(x, 7, 9), x)
+        np.testing.assert_array_equal(resize(x, 7, 9), x)
 
     def test_bilinear_midpoint(self):
         x = np.array([[[0.0, 1.0]]], dtype=np.float32)
-        out = resize_bilinear(x, 1, 3)
+        out = resize(x, 1, 3)
         # half-pixel centers: positions -1/6, 3/6, 7/6 clamped -> 0, .5, 1
         np.testing.assert_allclose(out, [[[0.0, 0.5, 1.0]]], atol=1e-7)
 
     def test_range_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, (3, 11, 5)).astype(np.float32)
-        out = resize_bilinear(x, 23, 17)
+        out = resize(x, 23, 17)
         assert out.min() >= 0 and out.max() <= 1
 
     @given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 40),
@@ -52,7 +58,7 @@ class TestResize:
     def test_matches_seed_resize(self, c, h, w, out_h, out_w, seed):
         # the float32 source is widened per gathered row, not copied whole
         x = np.random.default_rng(seed).uniform(0, 1, (c, h, w)).astype(np.float32)
-        np.testing.assert_array_equal(resize_bilinear(x, out_h, out_w),
+        np.testing.assert_array_equal(resize(x, out_h, out_w),
                                       resize_bilinear_seed(x, out_h, out_w))
 
 
@@ -421,6 +427,19 @@ class TestDetect:
         img[1, 8, 8] = np.nan  # a pixel the stride-2 convs sample
         with pytest.raises(ValueError, match="not finite"):
             detect(planted_tiny, img)
+
+    @pytest.mark.parametrize("names", [("car",), ("car", "bus", "van")])
+    def test_wrong_number_of_class_names_raises(self, planted_tiny, names):
+        with pytest.raises(ValueError, match=f"{len(names)} class names for 2 classes"):
+            detect(planted_tiny, planted_image(), class_names=names)
+
+    def test_overflow_raises_without_warnings(self, planted_tiny):
+        # 3e38 weights are finite, but overflow float32 on a white image
+        planted_tiny.layers[0].params.weights[:] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                detect(planted_tiny, np.ones((3, 32, 32), np.float32))
 
     def test_headless_graph_rejected(self):
         from littleyolo.config import Convolutional, NetParams

@@ -7,7 +7,7 @@ import pytest
 from littleyolo.config import load_config, reference_config_path
 from littleyolo.graph import build_graph
 from littleyolo import rng as rng_mod
-from littleyolo.rng import splitmix64_stream, uniform_stream
+from littleyolo.rng import uniform_stream
 from littleyolo.weights import (HEADER_BYTES, WeightsError,
                                 expected_file_size, init_random,
                                 layer_param_count, load_weights,
@@ -21,8 +21,10 @@ class TestSplitMix64:
     only the vectorized stream."""
 
     def test_stream_published_seed_zero_vector(self):
-        assert splitmix64_stream(0, 3).tolist() == [
-            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        # a unit draw is an output's top 53 bits, scaled by 2**-53
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert (uniform_stream(0, 3, 0.0, 1.0) * 2.0**53).tolist() == [
+            v >> 11 for v in published]
 
     def test_published_seed_zero_vector(self):
         rng = SplitMix64(0)
@@ -33,9 +35,8 @@ class TestSplitMix64:
     def test_stream_matches_scalar(self):
         scalar = SplitMix64(12345)
         want = [scalar.next_u64() for _ in range(100)]
-        got = splitmix64_stream(12345, 100)
-        assert got.dtype == np.uint64
-        assert got.tolist() == want
+        got = uniform_stream(12345, 100, 0.0, 1.0) * 2.0**53
+        assert got.tolist() == [v >> 11 for v in want]
 
     def test_floats_in_unit_interval(self):
         rng = SplitMix64(7)
@@ -53,7 +54,6 @@ class TestSplitMix64:
         monkeypatch.setattr(rng_mod, "_CHUNK", 7)
         scalar = SplitMix64(99)
         want = [scalar.next_u64() for _ in range(100)]
-        assert splitmix64_stream(99, 100).tolist() == want
         got = uniform_stream(99, 100, -0.1, 0.1)
         assert got.tolist() == [-0.1 + (v >> 11) * 2.0**-53 * 0.2 for v in want]
 
