@@ -12,6 +12,7 @@ reproducible across platforms for a given seed.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -27,6 +28,7 @@ DISTANCES = ("one_minus_iou", "euclidean")
 # smallest anchors, coarse 13x13 head (first in graph order) the three largest
 REFERENCE_MASKS = ((3, 4, 5), (0, 1, 2))
 MAX_ITERS = 100  # Lloyd iterations per seeding, at most
+_K_CHECKED = ContextVar("_K_CHECKED", default=False)  # see cluster_anchors' restarts
 
 
 class AnchorSet(NamedTuple):
@@ -44,19 +46,26 @@ class AnchorSet(NamedTuple):
 
 def wh_iou(dims: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """IoU matrix between co-centered (w, h) rows of dims (N,2) and centroids
-    (K,2); 0 where the union is not positive (areas that underflow to 0)."""
-    inter = (np.minimum(dims[:, None, 0], centroids[None, :, 0])
-             * np.minimum(dims[:, None, 1], centroids[None, :, 1]))
-    union = (dims[:, 0] * dims[:, 1])[:, None] + (centroids[:, 0] * centroids[:, 1])[None, :] - inter
+    (K,2); 0 where the union is not positive (areas that underflow to 0).
+    It is the view of a (K, N) array filled per centroid: ufuncs run along N."""
+    w, h = dims.T
+    area = w * h
+    out = np.empty((len(centroids), len(dims)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / union, 0.0)
+        for row, (cw, ch) in zip(out, centroids):
+            inter = np.minimum(w, cw) * np.minimum(h, ch)
+            union = area + cw * ch - inter
+            row[:] = np.where(union > 0, inter / union, 0.0)
+    return out.T
 
 
 def _distance_matrix(dims: np.ndarray, centroids: np.ndarray, distance: str) -> np.ndarray:
+    """(K, N) distances from each centroid to each box, one centroid row at a time."""
     if distance == "one_minus_iou":
-        return 1.0 - wh_iou(dims, centroids)
+        return 1.0 - wh_iou(dims, centroids).T
     if distance == "euclidean":
-        return np.sqrt(((dims[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+        w, h = dims.T
+        return np.array([np.sqrt((w - cw) ** 2 + (h - ch) ** 2) for cw, ch in centroids])
     raise ValueError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
 
 
@@ -66,17 +75,18 @@ def kmeanspp_seed(dims: np.ndarray, k: int, seed: int,
     dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ordered = dims[np.lexsort((dims[:, 1], dims[:, 0]))]  # as np.unique(axis=0) counts
-    distinct = min(len(dims), 1) + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
-    if k > distinct:
-        raise ValueError(f"k = {k} exceeds the {distinct} distinct box "
-                         "dimensions available")
+    if not _K_CHECKED.get():
+        ordered = dims[np.lexsort((dims[:, 1], dims[:, 0]))]  # as np.unique(axis=0) counts
+        distinct = min(len(dims), 1) + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
+        if k > distinct:
+            raise ValueError(f"k = {k} exceeds the {distinct} distinct box "
+                             "dimensions available")
     draws = uniform_stream(seed, k, 0.0, 1.0).tolist()  # draw i picks centroid i
     centroids = [dims[min(int(draws[0] * len(dims)), len(dims) - 1)]]
     nearest = np.full(len(dims), np.inf)  # running min over centroids; np.minimum is exact
     while len(centroids) < k:
         u = draws[len(centroids)]
-        nearest = np.minimum(nearest, _distance_matrix(dims, centroids[-1][None], distance)[:, 0])
+        nearest = np.minimum(nearest, _distance_matrix(dims, centroids[-1][None], distance)[0])
         weights = nearest * nearest
         total = weights.sum()
         if total <= 0:
@@ -98,6 +108,17 @@ class ClusterResult:
     iterations: int
 
 
+def _nearest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of d (K, N), the row of its minimum (the first, as np.argmin) and its value."""
+    assign, best = np.zeros(d.shape[1], dtype=np.intp), d[0].copy()
+    for c in range(1, len(d)):
+        assign[d[c] < best] = c
+        np.minimum(best, d[c], out=best)
+    if np.isnan(best).any():  # a NaN is the minimum in np.argmin, the first one
+        assign = d.argmin(axis=0)
+    return assign, best
+
+
 def lloyd_cluster(dims: np.ndarray, k: int, distance: str = "one_minus_iou",
                   seed: int = 0) -> ClusterResult:
     """Lloyd iterations from a k-means++ seeding.
@@ -112,27 +133,21 @@ def lloyd_cluster(dims: np.ndarray, k: int, distance: str = "one_minus_iou",
     if len(dims) == 0:
         raise ValueError("no box dimensions to cluster")
     centroids = kmeanspp_seed(dims, k, seed, distance)
-    rows = np.arange(len(dims))
-    d = _distance_matrix(dims, centroids, distance)
-    assign = d.argmin(axis=1)
-    costs = [float(d[rows, assign].sum())]
+    assign, nearest = _nearest(_distance_matrix(dims, centroids, distance))
+    costs = [float(nearest.sum())]
     for _ in range(MAX_ITERS):
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = dims[assign == c]
-            if len(members):
-                new_centroids[c] = members.mean(axis=0)
-        d = _distance_matrix(dims, new_centroids, distance)
-        new_assign = d.argmin(axis=1)
+        # bincount adds members in box order, as mean(axis=0); empty clusters keep theirs
+        counts = np.bincount(assign, minlength=k)[:, None]
+        sums = np.column_stack([np.bincount(assign, weights=col, minlength=k) for col in dims.T])
+        new_centroids = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
+        new_assign, nearest = _nearest(_distance_matrix(dims, new_centroids, distance))
         if not np.bincount(new_assign, minlength=k).all():
-            # repair empty clusters from the farthest points (d at argmin = d.min)
+            # repair empty clusters from the farthest points
             for c in range(k):
                 if not np.any(new_assign == c):
-                    far = int(d[rows, new_assign].argmax())
-                    new_centroids[c] = dims[far]
-                    d = _distance_matrix(dims, new_centroids, distance)
-                    new_assign = d.argmin(axis=1)
-        new_cost = float(d[rows, new_assign].sum())
+                    new_centroids[c] = dims[int(nearest.argmax())]
+                    new_assign, nearest = _nearest(_distance_matrix(dims, new_centroids, distance))
+        new_cost = float(nearest.sum())
         if new_cost > costs[-1]:
             break  # mean updates under the IoU distance are a heuristic
         fixpoint = np.array_equal(new_assign, assign)
@@ -151,18 +166,19 @@ def cluster_anchors(dims: np.ndarray, k: int = 6, distance: str = "one_minus_iou
 
     Runs `restarts` independent seedings (seed, seed+1, ...) and keeps the
     lowest-cost result, the usual defense against bad k-means++ draws; the
-    whole procedure stays deterministic in `seed`. Anchors come back sorted
-    by area ascending. For k = 6 the masks follow the reference layout
-    (coarse head: 3,4,5; fine head: 0,1,2); other k get a single mask over
-    all anchors.
+    whole procedure stays deterministic in `seed`. The distinct dims are
+    counted once for all restarts. Anchors come back sorted by area
+    ascending. For k = 6 the masks follow the reference layout (coarse head:
+    3,4,5; fine head: 0,1,2); other k get a single mask over all anchors.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    result = None
-    for r in range(restarts):
-        candidate = lloyd_cluster(dims, k, distance=distance, seed=seed + r)
-        if result is None or candidate.costs[-1] < result.costs[-1]:
-            result = candidate
+    results = [lloyd_cluster(dims, k, distance=distance, seed=seed)]
+    later = copy_context()  # the first restart counted the distinct dims
+    later.run(_K_CHECKED.set, True)
+    results += [later.run(lloyd_cluster, dims, k, distance=distance, seed=seed + r)
+                for r in range(1, restarts)]
+    result = min(results, key=lambda c: c.costs[-1])  # the first of equal costs
     scaled = result.centroids * np.array([net_w, net_h], dtype=np.float64)
     order = np.argsort(scaled[:, 0] * scaled[:, 1], kind="stable")
     anchors = tuple((float(w), float(h)) for w, h in scaled[order])

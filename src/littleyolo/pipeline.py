@@ -50,9 +50,11 @@ class Detection:
     confidence: float
 
 
-def class_names_for(classes: int) -> tuple[str, ...]:
-    return CLASS_NAMES.get(classes,
-                           tuple(f"class_{i}" for i in range(classes)))
+def class_names_for(classes: int, names: tuple[str, ...] | None = None) -> tuple[str, ...]:
+    names = names or CLASS_NAMES.get(classes, tuple(f"class_{i}" for i in range(classes)))
+    if len(names) != classes:
+        raise ValueError(f"{len(names)} class names for {classes} classes")
+    return names
 
 
 def _sigmoid(x):
@@ -193,8 +195,7 @@ def filter_confidence(raw: RawDetections, threshold: float = DEFAULT_CONF_THRESH
                       class_names: tuple[str, ...] | None = None) -> list[Detection]:
     """Keep predictions with objectness * max class probability > threshold,
     assigning the argmax class. Input row order is preserved."""
-    classes = raw.class_probs.shape[1]
-    names = class_names or class_names_for(classes)
+    names = class_names_for(raw.class_probs.shape[1], class_names)
     best = raw.class_probs.argmax(axis=1)
     best_prob = raw.class_probs[np.arange(len(best)), best]
     conf = raw.objectness * best_prob
@@ -275,9 +276,7 @@ def detect(graph: NetworkGraph, image: np.ndarray,
     classes = heads[0].spec.classes
     if any(l.spec.classes != classes for l in heads):
         raise ShapeError("yolo layers disagree on class count")
-    names = class_names or class_names_for(classes)
-    if len(names) != classes:
-        raise ValueError(f"{len(names)} class names for {classes} classes")
+    names = class_names_for(classes, class_names)
 
     _, net_h, net_w = graph.input_shape
     tensor_in, transform = letterbox(image, net_w, net_h)

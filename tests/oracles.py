@@ -4,7 +4,8 @@ Everything here recomputes results from first principles (nested loops,
 finite differences, direct enumeration) and deliberately shares no code with
 the package. The seed forward-pass, resize, anchor-clustering and
 average-precision code at the end is the exception: it keeps the package's
-first implementation, and reuses its unchanged kernels.
+first implementation, and reuses its unchanged kernels. The anchor
+clustering carries its own copy of the seed distance kernel.
 """
 
 import numpy as np
@@ -372,15 +373,33 @@ class SplitMix64:
 # k-means++ seeding and Lloyd iterations as first written: the seeding
 # rebuilds the whole (N, centroids so far) distance matrix at every step and
 # counts distinct rows with np.unique on every call; the Lloyd loop takes one
-# argmin per cluster per iteration to look for empty clusters. They reuse
-# the package's distance kernel, which is unchanged, and draw from the scalar
-# SplitMix64 above. The package's seeding and Lloyd loop must reproduce them
-# bit for bit.
+# argmin per cluster per iteration to look for empty clusters. They use the
+# seed's (N, K) distance kernel below and draw from the scalar SplitMix64
+# above. The package's seeding and Lloyd loop must reproduce them bit for
+# bit.
+
+def wh_iou_seed(dims, centroids):
+    """IoU matrix between co-centered (w, h) rows of dims (N,2) and centroids
+    (K,2); 0 where the union is not positive (areas that underflow to 0)."""
+    inter = (np.minimum(dims[:, None, 0], centroids[None, :, 0])
+             * np.minimum(dims[:, None, 1], centroids[None, :, 1]))
+    union = (dims[:, 0] * dims[:, 1])[:, None] + (centroids[:, 0] * centroids[:, 1])[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
+
+
+def distance_matrix_seed(dims, centroids, distance):
+    """(N, K) distances from each box of dims to each centroid."""
+    if distance == "one_minus_iou":
+        return 1.0 - wh_iou_seed(dims, centroids)
+    if distance == "euclidean":
+        return np.sqrt(((dims[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+    raise ValueError(f"unknown distance {distance!r}; expected one of "
+                     "('one_minus_iou', 'euclidean')")
+
 
 def kmeanspp_oracle(dims, k, seed, distance="one_minus_iou"):
     """k-means++ initial centroids: first uniform, the rest D^2-weighted."""
-    from littleyolo.anchors import _distance_matrix
-
     dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
     distinct = np.unique(dims, axis=0)
     if k < 1:
@@ -391,7 +410,7 @@ def kmeanspp_oracle(dims, k, seed, distance="one_minus_iou"):
     rng = SplitMix64(seed)
     centroids = [dims[rng.next_index(len(dims))]]
     while len(centroids) < k:
-        d = _distance_matrix(dims, np.array(centroids), distance).min(axis=1)
+        d = distance_matrix_seed(dims, np.array(centroids), distance).min(axis=1)
         weights = d * d
         total = weights.sum()
         if total <= 0:
@@ -407,13 +426,13 @@ def kmeanspp_oracle(dims, k, seed, distance="one_minus_iou"):
 
 def lloyd_cluster_oracle(dims, k, distance="one_minus_iou", seed=0, max_iters=100):
     """Lloyd iterations from kmeanspp_oracle; returns an anchors.ClusterResult."""
-    from littleyolo.anchors import ClusterResult, _distance_matrix
+    from littleyolo.anchors import ClusterResult
 
     dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
     if len(dims) == 0:
         raise ValueError("no box dimensions to cluster")
     centroids = kmeanspp_oracle(dims, k, seed, distance)
-    d = _distance_matrix(dims, centroids, distance)
+    d = distance_matrix_seed(dims, centroids, distance)
     assign = d.argmin(axis=1)
     costs = [float(d[np.arange(len(dims)), assign].sum())]
     for iteration in range(1, max_iters + 1):
@@ -423,13 +442,13 @@ def lloyd_cluster_oracle(dims, k, distance="one_minus_iou", seed=0, max_iters=10
             if len(members):
                 new_centroids[c] = members.mean(axis=0)
         # repair empty clusters from the farthest points
-        d = _distance_matrix(dims, new_centroids, distance)
+        d = distance_matrix_seed(dims, new_centroids, distance)
         nearest = d.min(axis=1)
         for c in range(k):
             if not np.any(d.argmin(axis=1) == c):
                 far = int(nearest.argmax())
                 new_centroids[c] = dims[far]
-                d = _distance_matrix(dims, new_centroids, distance)
+                d = distance_matrix_seed(dims, new_centroids, distance)
                 nearest = d.min(axis=1)
         new_assign = d.argmin(axis=1)
         new_cost = float(d[np.arange(len(dims)), new_assign].sum())

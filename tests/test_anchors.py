@@ -11,7 +11,8 @@ from littleyolo.anchors import (AnchorSet, ClusterResult, anchors_line,
                                 cluster_anchors, dims_from_coco_json,
                                 dims_from_voc_dir, kmeanspp_seed, lloyd_cluster,
                                 load_dims, mean_iou_report, wh_iou)
-from oracles import kmeanspp_oracle, lloyd_cluster_oracle
+from oracles import (distance_matrix_seed, kmeanspp_oracle, lloyd_cluster_oracle,
+                     wh_iou_seed)
 
 
 def six_cluster_corpus(rng, per_cluster=300, jitter=0.05):
@@ -196,6 +197,21 @@ GRIDS = ((0.1, 0.2, 0.25, 0.5, 1.0), (1e-200, 2e-200, 3e-200, 0.5))
 
 
 class TestAgainstOracles:
+    @given(st.sampled_from(GRIDS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_seed_kernel(self, grid, data):
+        # duplicates, 1e-200 sides whose areas underflow and zero unions
+        values = st.sampled_from(grid)
+        boxes = st.lists(st.tuples(values, values), min_size=1, max_size=30)
+        dims, cents = np.array(data.draw(boxes)), np.array(data.draw(boxes))
+        got, want = wh_iou(dims, cents), wh_iou_seed(dims, cents)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert mean_iou_report(dims, cents) == float(want.max(axis=1).mean())
+        for distance in anchors.DISTANCES:
+            np.testing.assert_array_equal(anchors._distance_matrix(dims, cents, distance).T,
+                                          distance_matrix_seed(dims, cents, distance))
+
     @given(st.sampled_from(GRIDS), st.sampled_from(anchors.DISTANCES), st.data())
     @settings(max_examples=200, deadline=None)
     def test_seed_lloyd_and_anchors_match(self, grid, distance, data):
@@ -229,6 +245,18 @@ class TestAgainstOracles:
         assert_same_cluster(lloyd_cluster(dims, 6, distance, seed),
                             lloyd_cluster_oracle(dims, 6, distance, seed))
 
+    @pytest.mark.parametrize("seed", [2, 12, 27])
+    def test_non_finite_dims_match_oracle(self, seed):
+        # a NaN or inf box gives NaN distances, and the first NaN in a column
+        # takes the assignment, as in np.argmin
+        rng = np.random.default_rng(seed)
+        dims = rng.uniform(0.05, 0.9, (30, 2))
+        dims[rng.integers(0, 30, 2)] = np.nan if seed % 2 == 0 else np.inf
+        with np.errstate(all="ignore"):
+            for distance in anchors.DISTANCES:
+                assert_same_cluster(lloyd_cluster(dims, 4, distance, seed),
+                                    lloyd_cluster_oracle(dims, 4, distance, seed))
+
     def test_empty_cluster_repair_matches_oracle(self, monkeypatch):
         # the first mean update leaves a cluster empty on this corpus, and the
         # box farthest from its nearest centroid is not the one farthest
@@ -250,6 +278,28 @@ class TestAgainstOracles:
 
 
 class TestClusterAnchors:
+    def test_k_beyond_distinct_raises_before_any_distance(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(anchors, "_distance_matrix", lambda *a: calls.append(a))
+        dims = np.array([[0.1, 0.1]] * 10 + [[0.2, 0.2]] * 10)
+        want = outcome(kmeanspp_seed, dims, 3, 0)
+        with pytest.raises(ValueError, match="distinct") as exc:
+            cluster_anchors(dims, k=3, seed=0)
+        assert str(exc.value) == want and calls == []
+
+    @pytest.mark.parametrize("restarts", [1, 4, 10])
+    def test_distinct_dims_counted_once_per_call(self, monkeypatch, restarts):
+        _, dims = six_cluster_corpus(np.random.default_rng(8), 20)
+        real, sorts = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or real(keys))
+        cluster_anchors(dims, k=6, seed=0, restarts=restarts)
+        assert len(sorts) == 1
+        # the public entries still count on each call after it
+        lloyd_cluster(dims, 6, seed=0)
+        assert len(sorts) == 2
+        with pytest.raises(ValueError, match="distinct"):
+            lloyd_cluster(dims[:1].repeat(5, axis=0), 2, seed=0)
+
     def test_area_ascending_and_masks(self):
         rng = np.random.default_rng(6)
         _, dims = six_cluster_corpus(rng)

@@ -223,6 +223,12 @@ class TestFilter:
                                  class_names=("moto", "lorry"))
         assert dets[0].class_name == "lorry"
 
+    @pytest.mark.parametrize("names", [("car",), ("car", "bus", "van")])
+    def test_wrong_number_of_class_names_raises(self, names):
+        # the best class is 1, which ("car",) has no name for
+        with pytest.raises(ValueError, match=f"{len(names)} class names for 2 classes"):
+            filter_confidence(self.raw([0.9], [[0.1, 0.9]]), 0.25, class_names=names)
+
 
 class TestNMS:
     def test_overlapping_same_class_suppressed(self):
