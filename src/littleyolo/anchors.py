@@ -11,15 +11,13 @@ reproducible across platforms for a given seed.
 
 from __future__ import annotations
 
-import json
-from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import _finite, parse_voc_xml, voc_bndbox
+from .evaluate import _finite, read_json, voc_files
 from .rng import uniform_stream
 
 DISTANCES = ("one_minus_iou", "euclidean")
@@ -28,7 +26,6 @@ DISTANCES = ("one_minus_iou", "euclidean")
 # smallest anchors, coarse 13x13 head (first in graph order) the three largest
 REFERENCE_MASKS = ((3, 4, 5), (0, 1, 2))
 MAX_ITERS = 100  # Lloyd iterations per seeding, at most
-_K_CHECKED = ContextVar("_K_CHECKED", default=False)  # see cluster_anchors' restarts
 
 
 class AnchorSet(NamedTuple):
@@ -69,18 +66,22 @@ def _distance_matrix(dims: np.ndarray, centroids: np.ndarray, distance: str) -> 
     raise ValueError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
 
 
+def _distinct(dims: np.ndarray) -> int:
+    """Distinct (w, h) rows of dims, counted as np.unique(axis=0) counts them."""
+    ordered = dims[np.lexsort((dims[:, 1], dims[:, 0]))]
+    return min(len(dims), 1) + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
+
+
 def kmeanspp_seed(dims: np.ndarray, k: int, seed: int,
                   distance: str = "one_minus_iou") -> np.ndarray:
     """k-means++ initial centroids: first uniform, the rest D^2-weighted."""
     dims = np.asarray(dims, dtype=np.float64).reshape(-1, 2)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not _K_CHECKED.get():
-        ordered = dims[np.lexsort((dims[:, 1], dims[:, 0]))]  # as np.unique(axis=0) counts
-        distinct = min(len(dims), 1) + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
-        if k > distinct:
-            raise ValueError(f"k = {k} exceeds the {distinct} distinct box "
-                             "dimensions available")
+    # all rows are counted only when the first k are not distinct
+    if _distinct(dims[:k]) < k and k > (distinct := _distinct(dims)):
+        raise ValueError(f"k = {k} exceeds the {distinct} distinct box "
+                         "dimensions available")
     draws = uniform_stream(seed, k, 0.0, 1.0).tolist()  # draw i picks centroid i
     centroids = [dims[min(int(draws[0] * len(dims)), len(dims) - 1)]]
     nearest = np.full(len(dims), np.inf)  # running min over centroids; np.minimum is exact
@@ -166,18 +167,15 @@ def cluster_anchors(dims: np.ndarray, k: int = 6, distance: str = "one_minus_iou
 
     Runs `restarts` independent seedings (seed, seed+1, ...) and keeps the
     lowest-cost result, the usual defense against bad k-means++ draws; the
-    whole procedure stays deterministic in `seed`. The distinct dims are
-    counted once for all restarts. Anchors come back sorted by area
-    ascending. For k = 6 the masks follow the reference layout (coarse head:
-    3,4,5; fine head: 0,1,2); other k get a single mask over all anchors.
+    whole procedure stays deterministic in `seed`. Anchors come back sorted
+    by area ascending. For k = 6 the masks follow the reference layout
+    (coarse head: 3,4,5; fine head: 0,1,2); other k get a single mask over
+    all anchors.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    results = [lloyd_cluster(dims, k, distance=distance, seed=seed)]
-    later = copy_context()  # the first restart counted the distinct dims
-    later.run(_K_CHECKED.set, True)
-    results += [later.run(lloyd_cluster, dims, k, distance=distance, seed=seed + r)
-                for r in range(1, restarts)]
+    results = [lloyd_cluster(dims, k, distance=distance, seed=seed + r)
+               for r in range(restarts)]
     result = min(results, key=lambda c: c.costs[-1])  # the first of equal costs
     scaled = result.centroids * np.array([net_w, net_h], dtype=np.float64)
     order = np.argsort(scaled[:, 0] * scaled[:, 1], kind="stable")
@@ -214,42 +212,28 @@ def _normalize(w: float, h: float, img_w: float, img_h: float) -> tuple[float, f
 
 
 def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
-    """Collect normalized (w, h) pairs from a directory of VOC-style XML files."""
+    """Collect normalized (w, h) pairs from a directory of VOC-style XML
+    files; a file without <size> gives none."""
     out = []
-    files = sorted(Path(path).glob("*.xml"), key=lambda p: p.name)
-    for f in files:
-        root = parse_voc_xml(f)
-        size = root.find("size")
-        if size is None:
+    for f, root, objects in voc_files(Path(path)):
+        if (size := root.find("size")) is None:
             continue
         try:
             img_w, img_h = _finite("(width, height)", (float(size.findtext("width", "0")),
                                                        float(size.findtext("height", "0"))))
         except ValueError as exc:
             raise ValueError(f"{f}: <size>: {exc}") from None
-        for i, obj in enumerate(root.iter("object")):
-            if class_names is not None:
-                name = (obj.findtext("name") or "").strip()
-                if name not in class_names:
-                    continue
-            box = obj.find("bndbox")
-            if box is None:
-                continue
-            x1, y1, x2, y2 = voc_bndbox(f, i, box)
-            wh = _normalize(x2 - x1, y2 - y1, img_w, img_h)
-            if wh:
-                out.append(wh)
+        for obj, (x1, y1, x2, y2) in objects:
+            if class_names is None or (obj.findtext("name") or "").strip() in class_names:
+                if wh := _normalize(x2 - x1, y2 - y1, img_w, img_h):
+                    out.append(wh)
     return np.array(out, dtype=np.float64).reshape(-1, 2)
 
 
 def dims_from_coco_json(path, class_names: set[str] | None = None) -> np.ndarray:
     """Collect normalized (w, h) pairs from a COCO-style annotation JSON. A
     malformed file raises ValueError naming it, and the image or annotation."""
-    with open(str(path), "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     where = ""
     try:
         wanted = None if class_names is None else {

@@ -14,23 +14,10 @@ print_config -> canonical text; lower(parse(print(specs))) == specs
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .tensor import ACTIVATIONS
-
-KNOWN_SECTIONS = ("net", "network", "convolutional", "maxpool", "route",
-                  "shortcut", "upsample", "yolo")
-
-KNOWN_KEYS = {
-    "net": {"width", "height", "channels"},
-    "convolutional": {"filters", "size", "stride", "pad", "batch_normalize", "activation"},
-    "maxpool": {"size", "stride", "padding"},
-    "route": {"layers"},
-    "shortcut": {"from", "activation"},
-    "upsample": {"stride"},
-    "yolo": {"mask", "anchors", "classes", "ignore_thresh"},
-}
 
 
 class ConfigError(ValueError):
@@ -121,6 +108,18 @@ class Yolo:
 
 
 LayerSpec = Convolutional | Maxpool | Route | Shortcut | Upsample | Yolo
+
+# each section's spec; a cfg key is its field's name, but `from` for from_layer
+SPECS = {"net": NetParams, "convolutional": Convolutional, "maxpool": Maxpool,
+         "route": Route, "shortcut": Shortcut, "upsample": Upsample, "yolo": Yolo}
+KNOWN_SECTIONS = ("network", *SPECS)  # [network] is read as [net]
+
+
+def _key(name: str) -> str:
+    return "from" if name == "from_layer" else name
+
+
+KNOWN_KEYS = {name: {_key(f.name) for f in fields(spec)} for name, spec in SPECS.items()}
 
 
 # --------------------------------------------------------------------- parse
@@ -306,62 +305,38 @@ def lower_to_specs(doc: ConfigDocument) -> list[NetParams | LayerSpec]:
 
 # --------------------------------------------------------------------- print
 
-def _fmt_num(v: float) -> str:
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
+def _fmt(v) -> str:
+    """A value as the dialect writes it: w,h pairs joined by ", ", other
+    tuples by ",", bools as 0/1, integral floats without a fraction."""
+    if isinstance(v, tuple):
+        return (", " if v and isinstance(v[0], tuple) else ",").join(map(_fmt, v))
+    if isinstance(v, float) and not v.is_integer():
+        return repr(v)
+    return str(int(v)) if isinstance(v, (bool, float)) else str(v)
 
 
 def print_config(specs: list[NetParams | LayerSpec]) -> str:
-    """Canonical dialect text for lowered specs.
-
-    Route/shortcut references are printed relative (negative), the form the
-    dialect prefers; parsing the result and lowering it reproduces `specs`.
+    """Canonical dialect text for lowered specs: one line per field, in field
+    order. Route/shortcut references are printed relative (negative), the form
+    the dialect prefers; parsing the result and lowering it reproduces `specs`.
     """
     if not specs or not isinstance(specs[0], NetParams):
         raise ConfigError("specs must start with NetParams")
     out: list[str] = []
-    net = specs[0]
-    out.append("[net]")
-    out.append(f"width={net.width}")
-    out.append(f"height={net.height}")
-    out.append(f"channels={net.channels}")
-    for i, spec in enumerate(specs[1:]):
-        out.append("")
-        if isinstance(spec, Convolutional):
-            out.append("[convolutional]")
-            if spec.batch_normalize:
-                out.append("batch_normalize=1")
-            out.append(f"filters={spec.filters}")
-            out.append(f"size={spec.size}")
-            out.append(f"stride={spec.stride}")
-            out.append(f"pad={1 if spec.pad else 0}")
-            out.append(f"activation={spec.activation}")
-        elif isinstance(spec, Maxpool):
-            out.append("[maxpool]")
-            out.append(f"size={spec.size}")
-            out.append(f"stride={spec.stride}")
-            out.append(f"padding={spec.padding}")
-        elif isinstance(spec, Route):
-            out.append("[route]")
-            out.append("layers=" + ",".join(str(ref - i) for ref in spec.layers))
-        elif isinstance(spec, Shortcut):
-            out.append("[shortcut]")
-            out.append(f"from={spec.from_layer - i}")
-            out.append(f"activation={spec.activation}")
-        elif isinstance(spec, Upsample):
-            out.append("[upsample]")
-            out.append(f"stride={spec.stride}")
-        elif isinstance(spec, Yolo):
-            out.append("[yolo]")
-            out.append("mask=" + ",".join(str(m) for m in spec.mask))
-            out.append("anchors=" + ", ".join(f"{_fmt_num(w)},{_fmt_num(h)}"
-                                              for w, h in spec.anchors))
-            out.append(f"classes={spec.classes}")
-            out.append(f"ignore_thresh={_fmt_num(spec.ignore_thresh)}")
-        else:
+    section_of = {t: n for n, t in SPECS.items()}
+    for i, spec in enumerate(specs, start=-1):  # [net] is -1, the first layer 0
+        name = section_of.get(type(spec))
+        if name is None or (name == "net") != (i < 0):
             raise ConfigError(f"cannot print spec of type {type(spec).__name__}")
-    out.append("")
+        out.append(f"[{name}]")
+        for f in fields(spec):
+            v = getattr(spec, f.name)
+            if f.name == "layers":
+                v = tuple(ref - i for ref in v)
+            elif f.name == "from_layer":
+                v -= i
+            out.append(f"{_key(f.name)}={_fmt(v)}")
+        out.append("")
     return "\n".join(out)
 
 

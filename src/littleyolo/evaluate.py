@@ -244,29 +244,36 @@ def load_ground_truth(path) -> list[GroundTruth]:
 
 def _gt_from_voc_dir(p: Path) -> list[GroundTruth]:
     out = []
-    for f in sorted(p.glob("*.xml"), key=lambda f: f.name):
-        root = parse_voc_xml(f)
-        image_id = f.stem
-        for i, obj in enumerate(root.iter("object")):
-            box = obj.find("bndbox")
-            if box is None:
-                continue
-            bbox = BBox(*voc_bndbox(f, i, box))
-            difficult = (obj.findtext("difficult") or "0").strip() == "1"
-            name = sys.intern((obj.findtext("name") or "object").strip())
-            out.append(GroundTruth(image_id, name, bbox, difficult))
+    for f, _, objects in voc_files(p):
+        image_id = f.stem  # one string for the file's ground truths
+        out += [GroundTruth(image_id, sys.intern((obj.findtext("name") or "object").strip()),
+                            BBox(*box), (obj.findtext("difficult") or "0").strip() == "1")
+                for obj, box in objects]
     return out
 
 
-def voc_bndbox(f: Path, i: int, box: ET.Element) -> tuple[float, float, float, float]:
-    """(xmin, ymin, xmax, ymax) of object i's <bndbox> in VOC file f; a value
-    that is not a finite number raises ValueError naming the file and object."""
-    try:
-        return _finite("<bndbox> (xmin, ymin, xmax, ymax)",
-                      (float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
-                       float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0"))))
-    except ValueError as exc:
-        raise ValueError(f"{f}: object {i}: {exc}") from None
+def voc_files(p: Path):
+    """(file, root, [(object, (xmin, ymin, xmax, ymax)), ...]) for each VOC
+    XML file of directory p, by name, listing every <object> that has a
+    <bndbox>. XML that does not parse, or declares an unknown encoding
+    (ElementTree raises a SyntaxError or a LookupError), and a <bndbox>
+    value that is not a finite number raise ValueError naming the file."""
+    for f in sorted(p.glob("*.xml"), key=lambda f: f.name):
+        try:
+            root = ET.parse(str(f)).getroot()
+        except (ET.ParseError, LookupError) as exc:
+            raise ValueError(f"{f}: not well-formed XML: {exc}") from None
+        objects = []
+        for i, obj in enumerate(root.iter("object")):
+            if (box := obj.find("bndbox")) is None:
+                continue
+            try:
+                objects.append((obj, _finite("<bndbox> (xmin, ymin, xmax, ymax)", (
+                    float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
+                    float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0"))))))
+            except ValueError as exc:
+                raise ValueError(f"{f}: object {i}: {exc}") from None
+        yield f, root, objects
 
 
 def _finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
@@ -276,14 +283,14 @@ def _finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
     return values
 
 
-def parse_voc_xml(f: Path) -> ET.Element:
-    """Root element of a VOC annotation file; XML that does not parse, or
-    declares an unknown encoding, raises ValueError naming the file
-    (ElementTree raises a SyntaxError or a LookupError)."""
-    try:
-        return ET.parse(str(f)).getroot()
-    except (ET.ParseError, LookupError) as exc:
-        raise ValueError(f"{f}: not well-formed XML: {exc}") from None
+def read_json(p):
+    """The document in JSON file p; a file that is not UTF-8 JSON, or nests
+    too deep, raises ValueError naming p."""
+    with open(p, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{p}: not valid JSON: {exc}") from None
 
 
 def _gt_from_text(p: Path) -> list[GroundTruth]:
@@ -345,11 +352,7 @@ def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
     confidence or corner raises ValueError naming the file (and the
     detection's index).
     """
-    with open(p, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
-            raise ValueError(f"{p}: not valid JSON: {exc}") from None
+    doc = read_json(p)
     i = None
     try:
         image_id = Path(doc["image"]).stem

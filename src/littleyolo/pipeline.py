@@ -107,13 +107,16 @@ def letterbox(image: np.ndarray, net_w: int,
 
     image: (3, H, W), float in [0, 1] or uint8 (such as the no-copy view
     `frame.transpose(2, 0, 1)` of an (H, W, 3) frame), which gives the same
-    tensor as its imaging.to_chw_float image. Returns the (3, net_h, net_w)
-    float32 network tensor and the transform mapping original coordinates to
-    network pixels (x_net = x * scale + pad_x). The content is placed at
-    integer offsets, so pads are integral and the transform inverts exactly.
+    tensor as its imaging.to_chw_float image; other dtypes raise ValueError.
+    Returns the (3, net_h, net_w) float32 network tensor and the transform
+    mapping original coordinates to network pixels (x_net = x * scale +
+    pad_x). The content is placed at integer offsets, so pads are integral
+    and the transform inverts exactly.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ShapeError(f"expected (3, H, W) image tensor, got {image.shape}")
+    if image.dtype != np.uint8 and not np.issubdtype(image.dtype, np.floating):
+        raise ValueError(f"image dtype {image.dtype} is neither uint8 nor float")
     _, h, w = image.shape
     if h < 1 or w < 1 or net_w < 1 or net_h < 1:
         raise ShapeError(f"degenerate letterbox geometry: {w}x{h} -> {net_w}x{net_h}")

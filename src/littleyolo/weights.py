@@ -18,6 +18,7 @@ that every layer's arrays view, so a load holds the model once.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import sys
@@ -77,12 +78,14 @@ def save_weights(graph) -> bytes:
     return b"".join(chunks)
 
 
-def _read_header(graph, head: bytes, size: int) -> int:
-    """Check a stream's header and size against the graph; return images_seen."""
+def _read_stream(graph, fh, size: int):
+    """Populate graph from binary stream fh of `size` bytes: check the header
+    and size against the graph, then read the values straight into the one
+    float32 buffer the layers view."""
     if size < HEADER_BYTES:
         raise WeightsError(f"stream has {size} bytes, shorter than the "
                            f"{HEADER_BYTES}-byte header")
-    major, minor, revision, seen = struct.unpack_from("<iiiQ", head, 0)
+    major, minor, revision, seen = struct.unpack("<iiiQ", fh.read(HEADER_BYTES))
     if major * 10 + minor < 2:
         raise WeightsError(f"unsupported weights version {major}.{minor} "
                            "(versions below 0.2 use a narrower image counter)")
@@ -90,7 +93,13 @@ def _read_header(graph, head: bytes, size: int) -> int:
     if size != expected:
         raise WeightsError(f"graph calls for {expected} bytes but the stream "
                            f"has {size}")
-    return seen
+    floats = np.empty((expected - HEADER_BYTES) // 4, dtype=FLOAT)
+    got = fh.readinto(floats)
+    if got != floats.nbytes:
+        raise WeightsError(f"read {HEADER_BYTES + got} bytes of {expected}")
+    if sys.byteorder == "big":
+        floats.byteswap(inplace=True)
+    return _populate(graph, floats, seen)
 
 
 def _populate(graph, floats: np.ndarray, seen: int):
@@ -153,9 +162,7 @@ def load_weights(graph, data: bytes):
     non-finite value anywhere, or a negative variance, raises WeightsError
     naming the layer. The values are copied once, into one float32 buffer.
     """
-    seen = _read_header(graph, data[:HEADER_BYTES], len(data))
-    floats = np.frombuffer(data, dtype="<f4", offset=HEADER_BYTES).astype(FLOAT)
-    return _populate(graph, floats, seen)
+    return _read_stream(graph, io.BytesIO(data), len(data))
 
 
 def init_random(graph, seed: int):
@@ -187,15 +194,7 @@ def load_weights_file(graph, path):
     layers view; a WeightsError names the file first."""
     with open(path, "rb") as fh:
         try:
-            seen = _read_header(graph, fh.read(HEADER_BYTES), os.fstat(fh.fileno()).st_size)
-            floats = np.empty((expected_file_size(graph) - HEADER_BYTES) // 4, dtype=FLOAT)
-            got = fh.readinto(floats)
-            if got != floats.nbytes:
-                raise WeightsError(f"read {HEADER_BYTES + got} bytes of "
-                                   f"{HEADER_BYTES + floats.nbytes}")
-            if sys.byteorder == "big":
-                floats.byteswap(inplace=True)
-            return _populate(graph, floats, seen)
+            return _read_stream(graph, fh, os.fstat(fh.fileno()).st_size)
         except WeightsError as exc:
             raise WeightsError(f"{path}: {exc}") from None
 

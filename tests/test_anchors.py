@@ -288,15 +288,18 @@ class TestClusterAnchors:
         assert str(exc.value) == want and calls == []
 
     @pytest.mark.parametrize("restarts", [1, 4, 10])
-    def test_distinct_dims_counted_once_per_call(self, monkeypatch, restarts):
+    def test_restarts_sort_only_the_first_k_dims(self, monkeypatch, restarts):
         _, dims = six_cluster_corpus(np.random.default_rng(8), 20)
-        real, sorts = np.lexsort, []
-        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or real(keys))
+        assert len(np.unique(dims[:6], axis=0)) == 6
+        real, sorted_rows = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: sorted_rows.append(len(keys[0])) or real(keys))
         cluster_anchors(dims, k=6, seed=0, restarts=restarts)
-        assert len(sorts) == 1
-        # the public entries still count on each call after it
-        lloyd_cluster(dims, 6, seed=0)
-        assert len(sorts) == 2
+        assert sorted_rows == [6] * restarts
+        # when the first k rows repeat, all rows are counted
+        sorted_rows.clear()
+        lloyd_cluster(np.concatenate([dims[:1], dims]), 6, seed=0)
+        assert sorted_rows == [6, len(dims) + 1]
         with pytest.raises(ValueError, match="distinct"):
             lloyd_cluster(dims[:1].repeat(5, axis=0), 2, seed=0)
 
@@ -439,6 +442,19 @@ class TestIngestion:
         write_voc(tmp_path, "a", value, 100, [("car", 0, 0, 0, 10, 10)])
         with pytest.raises(ValueError, match=r"a\.xml: <size>: .* is not finite"):
             dims_from_voc_dir(tmp_path)
+
+    def test_voc_bad_box_without_size(self, tmp_path):
+        (tmp_path / "a.xml").write_text(
+            "<annotation><object><name>car</name><bndbox><xmin>0</xmin><ymin>0</ymin>"
+            "<xmax>nan</xmax><ymax>10</ymax></bndbox></object></annotation>")
+        with pytest.raises(ValueError, match=r"a\.xml: object 0: <bndbox> .* is not finite"):
+            dims_from_voc_dir(tmp_path)
+
+    def test_voc_bad_box_in_excluded_class(self, tmp_path):
+        write_voc(tmp_path, "a", 100, 100, [("car", 0, 0, 0, 10, 10),
+                                            ("person", 0, 0, 0, "inf", 90)])
+        with pytest.raises(ValueError, match=r"a\.xml: object 1: <bndbox> .* is not finite"):
+            dims_from_voc_dir(tmp_path, class_names={"car"})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_coco_non_finite_values(self, tmp_path, value):

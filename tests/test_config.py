@@ -1,12 +1,13 @@
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littleyolo.config import (ConfigError, ConfigWarning, Convolutional,
-                               Maxpool, NetParams, Route, Shortcut, Upsample,
-                               Yolo, load_config, lower_to_specs, parse_config,
+from littleyolo.config import (KNOWN_KEYS, KNOWN_SECTIONS, ConfigError, ConfigWarning,
+                               Convolutional, Maxpool, NetParams, Route, Shortcut,
+                               Upsample, Yolo, load_config, lower_to_specs, parse_config,
                                print_config, reference_config_path)
 
 MINI = textwrap.dedent("""\
@@ -289,6 +290,66 @@ class TestPrint:
     def test_requires_net_first(self):
         with pytest.raises(ConfigError):
             print_config([Upsample(stride=2)])
+
+    def test_canonical_text(self):
+        # one line per spec field, in field order; references relative
+        canonical = textwrap.dedent("""\
+            [net]
+            width=32
+            height=32
+            channels=3
+
+            [convolutional]
+            filters=4
+            size=3
+            stride=2
+            pad=1
+            batch_normalize=0
+            activation=leaky
+
+            [maxpool]
+            size=2
+            stride=1
+            padding=1
+
+            [shortcut]
+            from=-2
+            activation=linear
+
+            [route]
+            layers=-1,-3
+
+            [upsample]
+            stride=2
+
+            [yolo]
+            mask=1
+            anchors=4,4.5, 8,8
+            classes=2
+            ignore_thresh=0.7
+            """)
+        assert print_config(lower_to_specs(parse_config(canonical))) == canonical
+
+    @pytest.mark.parametrize("size", [416, 640])
+    def test_shipped_configs_print_without_warnings(self, size):
+        printed = print_config(load_config(reference_config_path(size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConfigWarning)
+            parse_config(printed)
+
+    def test_known_names(self):
+        assert set(KNOWN_SECTIONS) == {"net", "network", "convolutional", "maxpool",
+                                       "route", "shortcut", "upsample", "yolo"}
+        assert KNOWN_KEYS == {
+            "net": {"width", "height", "channels"},
+            "convolutional": {"filters", "size", "stride", "pad", "batch_normalize",
+                              "activation"},
+            "maxpool": {"size", "stride", "padding"},
+            "route": {"layers"},
+            "shortcut": {"from", "activation"},
+            "upsample": {"stride"},
+            "yolo": {"mask", "anchors", "classes", "ignore_thresh"},
+        }
 
 
 @st.composite

@@ -256,8 +256,10 @@ def voc_text(draw):
 def test_voc_directory(tmp_path, data):
     f = tmp_path / "frame.xml"
     f.write_bytes(data)
-    loads_or_names(f, load_ground_truth, tmp_path)
+    gts = loads_or_names(f, load_ground_truth, tmp_path)
     dims = loads_or_names(f, load_dims, tmp_path)
+    if gts is None:  # both read the file through one walker
+        assert dims is None
     if dims is not None:
         assert ((dims > 0) & (dims <= 1)).all()
 

@@ -95,6 +95,15 @@ class TestLetterbox:
         with pytest.raises(ShapeError):
             letterbox(np.zeros((416, 416, 3), np.float32), 416, 416)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64, np.bool_])
+    def test_dtype_neither_uint8_nor_float_raises(self, planted_tiny, dtype):
+        # such a frame used to be read as floats in [0, 1] and give other
+        # detections than its uint8 values, without a word
+        image = (planted_image() * 255).astype(np.uint8).astype(dtype)
+        for call in (lambda: letterbox(image, 32, 32), lambda: detect(planted_tiny, image)):
+            with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} is neither"):
+                call()
+
     @given(st.integers(5, 200), st.integers(5, 200))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_within_half_pixel(self, w, h):
