@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import _finite, read_json, voc_files
+from .evaluate import Boxes, GroundTruth, _finite, read_json, voc_files
 from .rng import uniform_stream
 
 DISTANCES = ("one_minus_iou", "euclidean")
@@ -205,29 +205,30 @@ def anchors_line(anchor_set: AnchorSet) -> str:
 
 # ------------------------------------------------------------------ ingestion
 
-def _normalize(w: float, h: float, img_w: float, img_h: float) -> tuple[float, float] | None:
-    if img_w <= 0 or img_h <= 0 or w <= 0 or h <= 0:
-        return None
-    return min(w / img_w, 1.0), min(h / img_h, 1.0)
+def _normalize(wh, sizes) -> np.ndarray:
+    """(w, h) rows over the (width, height) rows of their images, at most 1;
+    rows where a dimension or a size is not positive are dropped."""
+    wh, sizes = np.reshape(wh, (-1, 2)), np.reshape(sizes, (-1, 2))
+    keep = (wh > 0).all(axis=1) & (sizes > 0).all(axis=1)
+    return np.minimum(wh[keep] / sizes[keep], 1.0)
 
 
 def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
     """Collect normalized (w, h) pairs from a directory of VOC-style XML
     files; a file without <size> gives none."""
-    out = []
-    for f, root, objects in voc_files(Path(path)):
-        if (size := root.find("size")) is None:
-            continue
+    boxes, sizes = Boxes(GroundTruth), []  # sizes: (width, height) of each box's image
+    for f, root in voc_files(Path(path), boxes):
         try:
-            img_w, img_h = _finite("(width, height)", (float(size.findtext("width", "0")),
-                                                       float(size.findtext("height", "0"))))
+            size = (0.0, 0.0) if (tag := root.find("size")) is None else _finite(
+                "(width, height)", (float(tag.findtext("width", "0")),
+                                    float(tag.findtext("height", "0"))))
         except ValueError as exc:
             raise ValueError(f"{f}: <size>: {exc}") from None
-        for obj, (x1, y1, x2, y2) in objects:
-            if class_names is None or (obj.findtext("name") or "").strip() in class_names:
-                if wh := _normalize(x2 - x1, y2 - y1, img_w, img_h):
-                    out.append(wh)
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
+        sizes += size * (len(boxes) - len(sizes) // 2)
+    corners = np.reshape(boxes.corners, (-1, 4))
+    keep = slice(None) if class_names is None else np.isin(
+        boxes.cls, [boxes.classes[n] for n in class_names if n in boxes.classes])
+    return _normalize((corners[:, 2:] - corners[:, :2])[keep], np.reshape(sizes, (-1, 2))[keep])
 
 
 def dims_from_coco_json(path, class_names: set[str] | None = None) -> np.ndarray:
@@ -242,22 +243,19 @@ def dims_from_coco_json(path, class_names: set[str] | None = None) -> np.ndarray
         for n, img in enumerate(doc.get("images", [])):
             where = f"images[{n}]: "  # until its id is read
             where = f"image {img['id']}: "
-            images[img["id"]] = _finite("size (width, height)",
-                                        (float(img["width"]), float(img["height"])))
-        out = []
+            images[img["id"]] = _finite("size (width, height)", (img["width"], img["height"]))
+        wh, sizes = [], []
         for i, ann in enumerate(doc.get("annotations", [])):
             where = f"annotation {i}: "
             if ((wanted is None or ann.get("category_id") in wanted)
                     and ann.get("image_id") in images):
                 _, _, w, h = ann["bbox"]
-                wh = _normalize(*_finite("bbox size (w, h)", (float(w), float(h))),
-                                *images[ann["image_id"]])
-                if wh:
-                    out.append(wh)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                wh += _finite("bbox size (w, h)", (w, h))
+                sizes += images[ann["image_id"]]
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValueError(f"{path}: {where}{what}") from None
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
+    return _normalize(wh, sizes)
 
 
 def load_dims(path, class_names: set[str] | None = None) -> np.ndarray:

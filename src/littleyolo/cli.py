@@ -196,10 +196,8 @@ def cmd_anchors(args) -> int:
 # ----------------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
-    corpus = eval_mod.EvalCorpus(
-        ground_truths=eval_mod.load_ground_truth(args.gt),
-        predictions=eval_mod.load_predictions(args.preds),
-    )
+    corpus = eval_mod.EvalCorpus(eval_mod.load_ground_truth(args.gt),
+                                 eval_mod.load_predictions(args.preds))
     gt_ids, pred_ids = corpus.image_ids
     if gt_ids and pred_ids and not (gt_ids & pred_ids):
         print("warning: ground-truth and prediction image ids are disjoint",

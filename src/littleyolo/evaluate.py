@@ -1,5 +1,8 @@
 """Detection evaluation: greedy matching, average precision, mAP.
 
+Annotations load into columns (Boxes), one row per box; no object is built
+per box until a caller iterates them.
+
 Matching is greedy in confidence order: each prediction takes its best-IoU
 unmatched ground truth in the same image and is a true positive when that
 IoU meets the threshold. Difficult ground truths follow the VOC convention:
@@ -14,10 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import xml.etree.ElementTree as ET
+from array import array
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,29 +46,63 @@ class Prediction:
     bbox: BBox
 
 
+class Boxes:
+    """GroundTruth or Prediction boxes (record says which) as columns, one row
+    per box in load order: image and cls index the id tables images and
+    classes (id -> index, first seen first), corners holds x1, y1, x2, y2
+    flat, and values the difficult flag or the confidence."""
+
+    def __init__(self, record: type, records=()):
+        self.record, self.images, self.classes = record, {}, {}
+        self.image, self.cls, self.corners, self.values = (array(t) for t in "qqdd")
+        for r in records:
+            self.extend(r.image_id, [r.class_name], r.bbox,
+                        [r.difficult if record is GroundTruth else r.confidence])
+
+    def extend(self, image_id: str, names: list, corners, values) -> None:
+        """Append boxes of one image: a class name, four corners and a value each."""
+        if names:
+            self.image.fromlist([self.images.setdefault(image_id, len(self.images))] * len(names))
+            self.cls.fromlist([self.classes.setdefault(n, len(self.classes)) for n in names])
+            self.corners.fromlist(list(corners))
+            self.values.fromlist(list(values))
+
+    def __len__(self) -> int:
+        return len(self.cls)
+
+    def __iter__(self):
+        images, classes, gt = list(self.images), list(self.classes), self.record is GroundTruth
+        for i, c, box, v in zip(self.image, self.cls, zip(*[iter(self.corners)] * 4), self.values):
+            yield (GroundTruth(images[i], classes[c], BBox(*box), bool(v)) if gt else
+                   Prediction(images[i], classes[c], float(v), BBox(*box)))
+
+    def of_class(self, name: str) -> Boxes:
+        """The rows of class name as arrays, with the same id tables."""
+        out, rows = copy(self), np.asarray(self.cls) == self.classes.get(name, -1)
+        out.image, out.cls = np.asarray(self.image)[rows], np.asarray(self.cls)[rows]
+        out.corners = np.reshape(self.corners, (-1, 4))[rows].ravel()
+        out.values = np.asarray(self.values)[rows]
+        return out
+
+
 @dataclass
 class EvalCorpus:
-    ground_truths: list[GroundTruth] = field(default_factory=list)
-    predictions: list[Prediction] = field(default_factory=list)
+    ground_truths: Boxes = field(default_factory=lambda: Boxes(GroundTruth))
+    predictions: Boxes = field(default_factory=lambda: Boxes(Prediction))
 
     def add_ground_truth(self, image_id, class_name, bbox, difficult=False):
-        self.ground_truths.append(GroundTruth(str(image_id), class_name,
-                                              BBox(*bbox), bool(difficult)))
+        self.ground_truths.extend(str(image_id), [class_name], BBox(*bbox), [bool(difficult)])
 
     def add_prediction(self, image_id, class_name, confidence, bbox):
-        self.predictions.append(Prediction(str(image_id), class_name,
-                                           float(confidence), BBox(*bbox)))
+        self.predictions.extend(str(image_id), [class_name], BBox(*bbox), [float(confidence)])
 
     @property
     def class_names(self) -> list[str]:
-        names = {g.class_name for g in self.ground_truths}
-        names |= {p.class_name for p in self.predictions}
-        return sorted(names)
+        return sorted(self.ground_truths.classes.keys() | self.predictions.classes.keys())
 
     @property
     def image_ids(self) -> tuple[set, set]:
-        return ({g.image_id for g in self.ground_truths},
-                {p.image_id for p in self.predictions})
+        return set(self.ground_truths.images), set(self.predictions.images)
 
 
 # ------------------------------------------------------------------- matching
@@ -77,41 +114,42 @@ MATCH_BLOCK_PAIRS = 4096
 _FLAG_OF_CODE = (False, True, None)  # codes: 0 false positive, 1 hit, 2 ignored
 
 
-def match_class(predictions: list[Prediction], ground_truths: list[GroundTruth],
+def match_class(predictions, ground_truths,
                 iou_threshold: float = 0.5) -> tuple[list[bool | None], int]:
     """Flag one class's predictions as TP (True), FP (False), or ignored (None).
 
-    Predictions are processed in confidence-descending order (ties keep input
-    order); flags are returned in that processing order. Each takes the
-    unmatched ground truth of its image with the highest IoU (the lowest
-    index on ties) and is a hit when that IoU is positive and meets the
-    threshold. Also returns the count of non-difficult ground truths (the
-    recall denominator).
+    Each argument is Boxes or a list of records. Predictions are processed
+    in confidence-descending order (ties keep input order); flags are
+    returned in that processing order. Each takes the unmatched ground truth
+    of its image with the highest IoU (the lowest index on ties) and is a hit
+    when that IoU is positive and meets the threshold. Also returns the count
+    of non-difficult ground truths (the recall denominator).
 
     Images are independent, so the greedy walk runs in lockstep over blocks
     of images: step k settles the k-th prediction of every image in a block.
     """
-    conf = np.array([p.confidence for p in predictions], dtype=np.float64)
-    order = np.lexsort((np.arange(len(predictions)), -conf))
-    image_of: dict[str, int] = {}
-    gt_image = np.array([image_of.setdefault(g.image_id, len(image_of))
-                         for g in ground_truths], dtype=np.intp)
-    step_image = np.array([image_of.get(p.image_id, -1) for p in predictions],
-                          dtype=np.intp)[order]
-    difficult = np.array([g.difficult for g in ground_truths], dtype=bool)
-    codes = np.zeros(len(predictions), dtype=np.int8)  # by processing step
+    preds = predictions if isinstance(predictions, Boxes) else Boxes(Prediction, predictions)
+    gt = ground_truths if isinstance(ground_truths, Boxes) else Boxes(GroundTruth, ground_truths)
+    conf = np.asarray(preds.values, dtype=np.float64)
+    order = np.lexsort((np.arange(len(conf)), -conf))
+    gt_image = np.asarray(gt.image, dtype=np.intp)  # images numbered by gt's id table
+    n_gt = np.bincount(gt_image, minlength=len(gt.images) + 1)  # n_gt[-1] = 0: image -1, none
+    step_image = np.array([gt.images.get(i, -1) for i in preds.images], dtype=np.intp)[
+        np.asarray(preds.image, dtype=np.intp)][order]
+    step_image[n_gt[step_image] == 0] = -1  # no ground truth of the class in its image
+    difficult = np.asarray(gt.values, dtype=bool)
+    codes = np.zeros(len(conf), dtype=np.int8)  # by processing step
     steps = np.flatnonzero(step_image >= 0)  # the rest have no ground truth
-    n_pred = np.bincount(step_image[steps], minlength=len(image_of))
-    n_gt = np.bincount(gt_image, minlength=len(image_of))
+    n_pred = np.bincount(step_image[steps], minlength=len(n_gt))
     # most predictions first, so that the images of a block pad little
     images = np.lexsort((-n_gt, -n_pred))[:np.count_nonzero(n_pred)]
-    rank = np.full(len(image_of), len(images))
+    rank = np.full(len(n_gt), len(images))
     rank[images] = np.arange(len(images))
     # each image's steps (in processing order) and ground truths, image
     # after image in rank order
     steps = steps[np.argsort(rank[step_image[steps]], kind="stable")]
     gts = np.argsort(rank[gt_image], kind="stable")
-    pred_box, gt_box = _box_array(predictions), _box_array(ground_truths)
+    pred_box, gt_box = np.reshape(preds.corners, (-1, 4)), np.reshape(gt.corners, (-1, 4))
     n_pred, n_gt = n_pred[images], n_gt[images]
     pred_start = np.concatenate(([0], np.cumsum(n_pred)))
     gt_start = np.concatenate(([0], np.cumsum(n_gt)))
@@ -121,12 +159,6 @@ def match_class(predictions: list[Prediction], ground_truths: list[GroundTruth],
         codes[steps[p]] = _match_block(pred_box[order[steps[p]]], gt_box[g], difficult[g],
                                        n_pred[first:last], n_gt[first:last], iou_threshold)
     return [_FLAG_OF_CODE[c] for c in codes.tolist()], int(np.count_nonzero(~difficult))
-
-
-def _box_array(items) -> np.ndarray:
-    """(N, 4) float64 corners of the .bbox of each item."""
-    return np.fromiter(chain.from_iterable(item.bbox for item in items),
-                       dtype=np.float64, count=4 * len(items)).reshape(-1, 4)
 
 
 def _blocks(n_pred: list[int], n_gt: list[int]):
@@ -219,9 +251,8 @@ def mean_ap(corpus: EvalCorpus, iou_threshold: float = 0.5,
         raise ValueError("empty corpus: nothing to evaluate")
     table: dict[str, float | None] = {}
     for name in corpus.class_names:
-        preds = [p for p in corpus.predictions if p.class_name == name]
-        gts = [g for g in corpus.ground_truths if g.class_name == name]
-        flags, total_gt = match_class(preds, gts, iou_threshold)
+        flags, total_gt = match_class(corpus.predictions.of_class(name),
+                                      corpus.ground_truths.of_class(name), iou_threshold)
         table[name] = average_precision(flags, total_gt, interpolation)
     defined = [v for v in table.values() if v is not None]
     if not defined:
@@ -231,54 +262,58 @@ def mean_ap(corpus: EvalCorpus, iou_threshold: float = 0.5,
 
 # -------------------------------------------------------------------- loaders
 
-def load_ground_truth(path) -> list[GroundTruth]:
+def load_ground_truth(path) -> Boxes:
     """Ground truth from a directory of VOC XML files or a flat text file.
 
     Flat lines: image_id class x1 y1 x2 y2 [difficult]
     """
-    p = Path(path)
+    p, out = Path(path), Boxes(GroundTruth)
     if p.is_dir():
-        return _gt_from_voc_dir(p)
-    return _gt_from_text(p)
-
-
-def _gt_from_voc_dir(p: Path) -> list[GroundTruth]:
-    out = []
-    for f, _, objects in voc_files(p):
-        image_id = f.stem  # one string for the file's ground truths
-        out += [GroundTruth(image_id, sys.intern((obj.findtext("name") or "object").strip()),
-                            BBox(*box), (obj.findtext("difficult") or "0").strip() == "1")
-                for obj, box in objects]
+        for _ in voc_files(p, out):
+            pass
+    else:
+        for f, box in _text_records(p, "image_id class x1 y1 x2 y2 [difficult]"):
+            out.extend(f[0], [f[1]], box, [len(f) == 7 and f[6] in ("1", "difficult")])
     return out
 
 
-def voc_files(p: Path):
-    """(file, root, [(object, (xmin, ymin, xmax, ymax)), ...]) for each VOC
-    XML file of directory p, by name, listing every <object> that has a
-    <bndbox>. XML that does not parse, or declares an unknown encoding
-    (ElementTree raises a SyntaxError or a LookupError), and a <bndbox>
-    value that is not a finite number raise ValueError naming the file."""
+def voc_files(p: Path, out: Boxes):
+    """Append to out every <object> with a <bndbox> of each VOC XML file of
+    directory p, by name, as a box of image id the file's stem, and yield
+    (file, root) after each. XML that does not parse or declares an unknown
+    encoding (ElementTree raises a SyntaxError or a LookupError), and a
+    <bndbox> value that is not a finite number, raise ValueError naming the file."""
     for f in sorted(p.glob("*.xml"), key=lambda f: f.name):
         try:
             root = ET.parse(str(f)).getroot()
         except (ET.ParseError, LookupError) as exc:
             raise ValueError(f"{f}: not well-formed XML: {exc}") from None
-        objects = []
+        names, corners, difficult, objects = [], [], [], []  # objects: each box's <object> index
         for i, obj in enumerate(root.iter("object")):
             if (box := obj.find("bndbox")) is None:
                 continue
             try:
-                objects.append((obj, _finite("<bndbox> (xmin, ymin, xmax, ymax)", (
-                    float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
-                    float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0"))))))
+                corners += (float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
+                            float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
             except ValueError as exc:
                 raise ValueError(f"{f}: object {i}: {exc}") from None
-        yield f, root, objects
+            objects.append(i)
+            names.append((obj.findtext("name") or "object").strip())
+            difficult.append((obj.findtext("difficult") or "0").strip() == "1")
+        if not all(map(math.isfinite, corners)):  # checked once; the first bad box on failure
+            k = int(np.argmin(np.isfinite(np.reshape(corners, (-1, 4))).all(axis=1)))
+            raise ValueError(f"{f}: object {objects[k]}: <bndbox> (xmin, ymin, xmax, ymax) = "
+                             f"{tuple(corners[4 * k:4 * k + 4])} is not finite")
+        out.extend(f.stem, names, corners, difficult)
+        yield f, root
 
 
-def _finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
-    """values, when all are finite; else ValueError '<what> = <values> is not finite'."""
-    if not all(map(math.isfinite, values)):
+def _finite(what: str, values: tuple) -> tuple[float, ...]:
+    """values as floats, when all are finite numbers; else TypeError for one that
+    is not an int or a float, or ValueError '<what> = <values> is not finite'."""
+    if not {int, float}.issuperset(map(type, values)):
+        raise TypeError(f"{what} = {values!r} holds a value that is not a JSON number")
+    if not all(map(math.isfinite, values := tuple(map(float, values)))):
         raise ValueError(f"{what} = {values} is not finite")
     return values
 
@@ -286,16 +321,10 @@ def _finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
 def read_json(p):
     """The document in JSON file p; a file that is not UTF-8 JSON, or nests
     too deep, raises ValueError naming p."""
-    with open(p, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{p}: not valid JSON: {exc}") from None
-
-
-def _gt_from_text(p: Path) -> list[GroundTruth]:
-    return [GroundTruth(f[0], f[1], BBox(*box), len(f) == 7 and f[6] in ("1", "difficult"))
-            for f, box in _text_records(p, "image_id class x1 y1 x2 y2 [difficult]")]
+    try:
+        return json.loads(Path(p).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{p}: not valid JSON: {exc}") from None
 
 
 def _text_records(p: Path, form: str):
@@ -319,63 +348,58 @@ def _text_records(p: Path, form: str):
         raise ValueError(f"{p}:{lineno}: {exc}" if lineno else f"{p}: {exc}") from None
 
 
-def load_predictions(path) -> list[Prediction]:
+def load_predictions(path) -> Boxes:
     """Predictions from detection JSON (file or directory of files) or flat text.
 
     Flat lines: image_id class confidence x1 y1 x2 y2. Detection JSONs use
     the image path stem as the image id; two JSONs in one directory with the
     same id raise ValueError rather than merge.
     """
-    p = Path(path)
+    p, out = Path(path), Boxes(Prediction)
     if p.is_dir():
-        out = []
         source_of: dict[str, Path] = {}
         for f in sorted(p.glob("*.json"), key=lambda f: f.name):
             if f.name == "index.json":
                 continue
-            image_id, preds = _preds_from_detect_json(f)
+            image_id = _preds_from_detect_json(f, out)
             if image_id in source_of:
                 raise ValueError(f"{source_of[image_id]} and {f} both hold "
                                  f"detections for image id {image_id!r}")
             source_of[image_id] = f
-            out.extend(preds)
-        return out
-    if p.suffix.lower() == ".json":
-        return _preds_from_detect_json(p)[1]
-    return _preds_from_text(p)
+    elif p.suffix.lower() == ".json":
+        _preds_from_detect_json(p, out)
+    else:
+        for f, (conf, *corners) in _text_records(p, "image_id class confidence x1 y1 x2 y2"):
+            out.extend(f[0], [f[1]], corners, [conf])
+    return out
 
 
-def _preds_from_detect_json(p: Path) -> tuple[str, list[Prediction]]:
-    """(image id, predictions) of one `littleyolo detect` output JSON.
-
-    A missing key, a wrongly typed value or a non-numeric or non-finite
-    confidence or corner raises ValueError naming the file (and the
-    detection's index).
-    """
+def _preds_from_detect_json(p: Path, out: Boxes) -> str:
+    """Append the predictions of one `littleyolo detect` output JSON to out;
+    return its image id. A missing key, a wrongly typed value or a value that
+    is not a finite JSON number raises ValueError naming p (and detection)."""
     doc = read_json(p)
-    i = None
+    i, names, confs, corners = None, [], [], []
     try:
         image_id = Path(doc["image"]).stem
-        out = []
         for i, det in enumerate(doc["detections"]):
             b = det["bbox"]
-            conf, *corners = _finite("(confidence, x1, y1, x2, y2)", (
-                float(det["confidence"]), float(b["x1"]), float(b["y1"]),
-                float(b["x2"]), float(b["y2"])))
-            if not isinstance(det["class_name"], str):
-                raise TypeError(f"class_name {det['class_name']!r} is not a string")
-            out.append(Prediction(image_id, sys.intern(det["class_name"]), conf,
-                                  BBox(*corners)))
-    except (KeyError, TypeError, ValueError) as exc:
+            confs.append(det["confidence"])
+            corners += b["x1"], b["y1"], b["x2"], b["y2"]
+            names.append(det["class_name"])
+        i, values = None, confs + corners  # checked once; the first bad detection on failure
+        if not ({int, float}.issuperset(map(type, values)) and all(map(math.isfinite, values))
+                and {str}.issuperset(map(type, names))):
+            for i, name in enumerate(names):
+                _finite("(confidence, x1, y1, x2, y2)", (confs[i], *corners[4 * i:4 * i + 4]))
+                if not isinstance(name, str):
+                    raise TypeError(f"class_name {name!r} is not a string")
+        out.extend(image_id, names, corners, confs)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         where = p if i is None else f"{p}: detection {i}"
         raise ValueError(f"{where}: {what}") from None
-    return image_id, out
-
-
-def _preds_from_text(p: Path) -> list[Prediction]:
-    return [Prediction(f[0], f[1], conf, BBox(*corners)) for f, (conf, *corners)
-            in _text_records(p, "image_id class confidence x1 y1 x2 y2")]
+    return image_id
 
 
 # --------------------------------------------------------------------- report
@@ -386,7 +410,7 @@ def evaluation_report(corpus: EvalCorpus, iou_threshold: float = 0.5,
     return {
         "iou_threshold": iou_threshold,
         "interpolation": interpolation,
-        "num_images": len(set.union(*corpus.image_ids)) if (corpus.ground_truths or corpus.predictions) else 0,
+        "num_images": len(set.union(*corpus.image_ids)),
         "num_ground_truths": len(corpus.ground_truths),
         "num_predictions": len(corpus.predictions),
         "per_class": table,

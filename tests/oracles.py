@@ -2,11 +2,14 @@
 
 Everything here recomputes results from first principles (nested loops,
 finite differences, direct enumeration) and deliberately shares no code with
-the package. The seed forward-pass, resize, anchor-clustering and
-average-precision code at the end is the exception: it keeps the package's
-first implementation, and reuses its unchanged kernels. The anchor
-clustering carries its own copy of the seed distance kernel.
+the package. The seed forward-pass, resize, anchor-clustering,
+average-precision and VOC box-size code at the end is the exception: it
+keeps the package's first implementation, and reuses its unchanged kernels.
+The anchor clustering carries its own copy of the seed distance kernel.
 """
+
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 
@@ -490,3 +493,32 @@ def average_precision_seed(flags, total_gt, interpolation="all"):
         return float(np.mean(vals))
     changed = np.where(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
+
+
+# ------------------------------------------------------ seed VOC box sizes
+#
+# The anchors reader of VOC directories as it was before annotations loaded
+# into columns: one record per box, normalised one box at a time. It reads
+# valid files only; the package's error paths are tested on their own. A box
+# without a <name> is class "object", as eval names it.
+
+def voc_dims_seed(path, class_names=None):
+    out = []
+    for f in sorted(Path(path).glob("*.xml"), key=lambda f: f.name):
+        root = ET.parse(str(f)).getroot()
+        size = root.find("size")
+        if size is None:
+            continue
+        img_w, img_h = float(size.findtext("width", "0")), float(size.findtext("height", "0"))
+        for obj in root.iter("object"):
+            box = obj.find("bndbox")
+            if box is None:
+                continue
+            x1, y1, x2, y2 = (float(box.findtext(k, "0")) for k in ("xmin", "ymin", "xmax", "ymax"))
+            name = (obj.findtext("name") or "object").strip()
+            if class_names is not None and name not in class_names:
+                continue
+            w, h = x2 - x1, y2 - y1
+            if img_w > 0 and img_h > 0 and w > 0 and h > 0:
+                out.append((min(w / img_w, 1.0), min(h / img_h, 1.0)))
+    return np.array(out, dtype=np.float64).reshape(-1, 2)

@@ -12,7 +12,7 @@ from littleyolo.anchors import (AnchorSet, ClusterResult, anchors_line,
                                 dims_from_voc_dir, kmeanspp_seed, lloyd_cluster,
                                 load_dims, mean_iou_report, wh_iou)
 from oracles import (distance_matrix_seed, kmeanspp_oracle, lloyd_cluster_oracle,
-                     wh_iou_seed)
+                     voc_dims_seed, wh_iou_seed)
 
 
 def six_cluster_corpus(rng, per_cluster=300, jitter=0.05):
@@ -373,7 +373,39 @@ def write_voc(tmp_path, name, w, h, objs):
         VOC_XML.format(name=name, w=w, h=h, objects=body))
 
 
+def write_random_voc(directory, rng, files=12):
+    """VOC files of random float boxes. Some files lack <size> or have a zero
+    side, some boxes have a side that is not positive, and some objects lack
+    a <name> (or have an empty one) or a <bndbox>."""
+    names = ["<name>car</name>", "<name> bus </name>", "<name></name>", ""]
+    sizes = ["<size><width>640</width><height>480</height></size>",
+             "<size><width>333.5</width><height>250</height></size>",
+             "<size><width>0</width><height>480</height></size>", ""]
+    for n in range(files):
+        objects = []
+        for _ in range(rng.integers(0, 7)):
+            x1, y1 = rng.uniform(-10, 400, 2)
+            x2, y2 = x1 + rng.uniform(-20, 700), y1 + rng.uniform(-20, 500)
+            box = "".join(f"<{k}>{float(v)!r}</{k}>"
+                          for k, v in zip(("xmin", "ymin", "xmax", "ymax"), (x1, y1, x2, y2)))
+            objects.append(f"<object>{names[rng.integers(4)]}"
+                           + (f"<bndbox>{box}</bndbox>" if rng.random() < 0.9 else "")
+                           + "</object>")
+        (directory / f"f{n:02d}.xml").write_text(
+            f"<annotation>{sizes[rng.integers(4)]}{''.join(objects)}</annotation>")
+
+
 class TestIngestion:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_voc_dims_match_record_reader(self, tmp_path, seed):
+        # the column reader normalises with array ops; the record reader one
+        # box at a time, in the same float64 arithmetic
+        write_random_voc(tmp_path, np.random.default_rng(seed))
+        for names in (None, {"car"}, {"bus", "object"}, {"van"}):
+            dims = load_dims(tmp_path, names)
+            assert dims.dtype == np.float64 and dims.shape[1:] == (2,)
+            assert np.array_equal(dims, voc_dims_seed(tmp_path, names))
+
     def test_voc_dir(self, tmp_path):
         write_voc(tmp_path, "a", 100, 200, [("car", 0, 10, 20, 30, 60),
                                             ("bus", 0, 0, 0, 50, 100)])

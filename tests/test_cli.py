@@ -741,7 +741,8 @@ class TestAnnotationInputErrors:
              "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}},
             {"class_name": "car", "confidence": "high",
              "bbox": {"x1": 0, "y1": 0, "x2": 10, "y2": 10}}]},
-         "detection 1: could not convert string to float: 'high'"),
+         "detection 1: (confidence, x1, y1, x2, y2) = ('high', 0, 0, 10, 10) holds a "
+         "value that is not a JSON number"),
         ('{"image": "scene.ppm", "detec', "not valid JSON: "),
         ({"image": "scene.ppm", "detections": [
             {"class_name": "car", "confidence": float("nan"),
@@ -761,6 +762,17 @@ class TestAnnotationInputErrors:
          "detection 0: class_name 5 is not a string"),
         (b"\xff\xfe{}", "not valid JSON: "),
         pytest.param("[" * 100_000, "not valid JSON: ", id="nested-too-deep"),
+        # strings and booleans that float() would take are not JSON numbers
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": "car", "confidence": "0.9",
+             "bbox": {"x1": 1, "y1": True, "x2": 5, "y2": " 6 "}}]},
+         "detection 0: (confidence, x1, y1, x2, y2) = ('0.9', 1, True, 5, ' 6 ') holds a "
+         "value that is not a JSON number"),
+        ({"image": "scene.ppm", "detections": [
+            {"class_name": "car", "confidence": 0.9,
+             "bbox": {"x1": 1, "y1": False, "x2": 5, "y2": 6}}]},
+         "detection 0: (confidence, x1, y1, x2, y2) = (0.9, 1, False, 5, 6) holds a "
+         "value that is not a JSON number"),
     ])
     def test_malformed_detection_json(self, capsys, tmp_path, doc, message):
         gt = tmp_path / "gt.txt"
@@ -785,7 +797,8 @@ class TestAnnotationInputErrors:
          "images[0]: missing key 'id'"),
         ({"images": [{"id": 1, "width": "abc", "height": 100}],
           "annotations": COCO_ANNOTATIONS},
-         "image 1: could not convert string to float: 'abc'"),
+         "image 1: size (width, height) = ('abc', 100) holds a value that is not a "
+         "JSON number"),
         ({"images": COCO_IMAGES,
           "annotations": COCO_ANNOTATIONS + [{"image_id": 1, "category_id": 1}]},
          "annotation 1: missing key 'bbox'"),
@@ -795,6 +808,12 @@ class TestAnnotationInputErrors:
         ([{"images": COCO_IMAGES}], "'list' object has no attribute 'get'"),
         ('{"images": [', "not valid JSON: "),
         pytest.param("[" * 100_000, "not valid JSON: ", id="nested-too-deep"),
+        ({"images": [{"id": 1, "width": 100, "height": True}],
+          "annotations": COCO_ANNOTATIONS},
+         "image 1: size (width, height) = (100, True) holds a value that is not a JSON number"),
+        ({"images": COCO_IMAGES, "annotations": [
+            {"image_id": 1, "category_id": 1, "bbox": [0, 0, "10", 10]}]},
+         "annotation 0: bbox size (w, h) = ('10', 10) holds a value that is not a JSON number"),
     ])
     def test_malformed_coco_json(self, capsys, tmp_path, doc, message):
         f = tmp_path / "ann.json"

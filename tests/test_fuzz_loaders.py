@@ -275,8 +275,15 @@ DETECT_DOC = st.one_of(
     JSON_ANY).map(json.dumps)
 
 
+def is_json_number(value):
+    return type(value) in (int, float)  # True and False are bools, not numbers
+
+
 @FUZZ
 @given(data=text_file(DETECT_DOC))
+@example(data=json.dumps({"image": "scene.ppm", "detections": [
+    {"class_name": "car", "confidence": "0.9",
+     "bbox": {"x1": 1, "y1": True, "x2": 5, "y2": " 6 "}}]}).encode())
 def test_detect_json(tmp_path, data):
     f = tmp_path / "scene.json"
     f.write_bytes(data)
@@ -284,6 +291,9 @@ def test_detect_json(tmp_path, data):
     for p in preds or ():
         assert isinstance(p.class_name, str) and np.isfinite(p.confidence)
         assert np.isfinite(list(p.bbox)).all()
+    if preds is not None:  # loaded: every value read was a JSON number
+        for det in json.loads(data)["detections"]:
+            assert all(map(is_json_number, [det["confidence"], *det["bbox"].values()]))
 
 
 COCO_DOC = st.one_of(
@@ -303,6 +313,8 @@ COCO_DOC = st.one_of(
 
 @FUZZ
 @given(data=text_file(COCO_DOC))
+@example(data=json.dumps({"images": [{"id": 1, "width": 100, "height": True}], "annotations": [
+    {"image_id": 1, "category_id": 0, "bbox": [0, 0, 10, 10]}]}).encode())
 def test_coco_json(tmp_path, data):
     f = tmp_path / "ann.json"
     f.write_bytes(data)
@@ -310,6 +322,9 @@ def test_coco_json(tmp_path, data):
         dims = loads_or_names(f, load_dims, f, names)
         if dims is not None:
             assert ((dims >= 0) & (dims <= 1)).all()
+            # loaded: every image size read was a JSON number
+            for img in json.loads(data).get("images", []):
+                assert is_json_number(img["width"]) and is_json_number(img["height"])
 
 
 FLAT_TOKEN = st.one_of(NUMBER, st.sampled_from(["img1", "car", "difficult", "1", "#", "# x"]))
