@@ -249,8 +249,9 @@ def dims_from_coco_json(path, class_names: set[str] | None = None) -> np.ndarray
             where = f"annotation {i}: "
             if ((wanted is None or ann.get("category_id") in wanted)
                     and ann.get("image_id") in images):
-                _, _, w, h = ann["bbox"]
+                x, y, w, h = ann["bbox"]
                 wh += _finite("bbox size (w, h)", (w, h))
+                _finite("bbox corner (x, y)", (x, y))
                 sizes += images[ann["image_id"]]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -13,6 +13,7 @@ print_config -> canonical text; lower(parse(print(specs))) == specs
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -124,15 +125,20 @@ KNOWN_KEYS = {name: {_key(f.name) for f in fields(spec)} for name, spec in SPECS
 
 # --------------------------------------------------------------------- parse
 
+# ASCII decimal numbers: sign, digits, fraction, exponent. int() and float()
+# also take "1_6" (16, where darknet's atoi reads 1) and non-ASCII digits.
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def _parse_scalar(text: str) -> Value:
-    try:
+    """text as an int or a float when it is one of the numbers above, else
+    text itself, which the _want_* readers reject with its key and line."""
+    if _INT.fullmatch(text):
         return int(text)
-    except ValueError:
-        pass
-    try:
+    if _FLOAT.fullmatch(text):
         return float(text)
-    except ValueError:
-        return text
+    return text
 
 
 def _parse_value(text: str) -> Value:

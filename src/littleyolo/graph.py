@@ -4,6 +4,13 @@ build_graph resolves every layer's inputs, output shape and the outputs whose
 last consumer it is, once, up front; forward then just executes layers in
 order and drops each intermediate after its last use. Shapes are (channels,
 height, width); layer index -1 denotes the network input.
+
+forward marks the input rows that repeat the row above (repeated_rows: the
+gray pad rows of a landscape frame's letterbox) and carries each output's
+repeat mask (see tensor) to its readers, so conv2d computes each run of
+repeated rows once. Only whole rows count: the pad columns of a portrait
+frame are not skipped. The heads do not change, as each copied row equals
+the row the conv would compute there.
 """
 
 from __future__ import annotations
@@ -158,6 +165,27 @@ def _check_sinks(graph: NetworkGraph) -> None:
                              "may be unconsumed")
 
 
+def repeated_rows(x: np.ndarray) -> np.ndarray:
+    """Repeat mask of a float32 (C, H, W) map: row i+1 bitwise equals row i."""
+    bits = x.view(np.uint32)
+    return (bits[:, 1:] == bits[:, :-1]).all(axis=(0, 2))
+
+
+def _output_repeats(layer: Layer, masks: list[np.ndarray]) -> np.ndarray:
+    """Repeat mask of layer's output, from its inputs' masks."""
+    spec = layer.spec
+    if isinstance(spec, (Convolutional, Maxpool)):
+        return tensor.window_repeats(masks[0], spec.size, spec.stride, spec.padding)
+    if isinstance(spec, Upsample):
+        # rows within one source row's block repeat; the block edges repeat
+        # where the source rows do
+        mask = np.ones(layer.out_shape[1] - 1, dtype=bool)
+        mask[spec.stride - 1::spec.stride] = masks[0]
+        return mask
+    # route and shortcut: a row repeats in every input; yolo: its one input
+    return np.logical_and.reduce(masks)
+
+
 def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     """Run the network; returns {yolo layer index: raw head output}.
 
@@ -169,14 +197,18 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
                          f"{graph.input_shape}")
     if not graph.is_populated():
         raise GraphError("graph has unpopulated conv layers; load or init weights")
-    live = {NET_INPUT: np.ascontiguousarray(x, dtype=FLOAT)}
+    x = np.ascontiguousarray(x, dtype=FLOAT)
+    live = {NET_INPUT: x}
+    repeats = {NET_INPUT: repeated_rows(x)}
     heads: dict[int, np.ndarray] = {}
     for layer in graph.layers:
         spec = layer.spec
         src = [live[r] for r in layer.inputs]
         # conv and shortcut outputs are this layer's own: activate them in place
         if isinstance(spec, Convolutional):
-            out = tensor.activate(tensor.conv2d(src[0], layer.params), spec.activation)
+            out = tensor.activate(tensor.conv2d(src[0], layer.params,
+                                                repeats[layer.inputs[0]]),
+                                  spec.activation)
         elif isinstance(spec, Maxpool):
             out = tensor.maxpool(src[0], spec.size, spec.stride, spec.padding)
         elif isinstance(spec, Route):
@@ -196,9 +228,10 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
             heads[layer.index] = out
         assert out.shape == layer.out_shape, \
             f"layer {layer.index}: got {out.shape}, inferred {layer.out_shape}"
+        mask = _output_repeats(layer, [repeats[r] for r in layer.inputs])
         for ref in layer.frees:
-            del live[ref]
-        live[layer.index] = out
+            del live[ref], repeats[ref]
+        live[layer.index], repeats[layer.index] = out, mask
     return heads
 
 
@@ -215,29 +248,31 @@ def model_bytes(graph: NetworkGraph) -> int:
     return expected_file_size(graph)
 
 
-def flops(graph: NetworkGraph) -> float:
-    """Multiply-add work of the conv layers, in units of 1e9.
+def layer_flops(layer: Layer) -> int:
+    """Multiply-add work of one conv layer: 2 * k^2 * c_in * filters * out_h * out_w."""
+    _, oh, ow = layer.out_shape
+    return 2 * layer.spec.size ** 2 * layer.in_channels * layer.spec.filters * oh * ow
 
-    Per conv: 2 * k^2 * c_in * filters * out_h * out_w.
-    """
-    total = 0
-    for l in graph.layers:
-        if isinstance(l.spec, Convolutional):
-            _, oh, ow = l.out_shape
-            total += 2 * l.spec.size ** 2 * l.in_channels * l.spec.filters * oh * ow
-    return total / 1e9
+
+def flops(graph: NetworkGraph) -> float:
+    """Multiply-add work of the conv layers (layer_flops), in units of 1e9."""
+    return sum(layer_flops(l) for l in graph.layers
+               if isinstance(l.spec, Convolutional)) / 1e9
 
 
 def layer_table(graph: NetworkGraph) -> str:
-    """Human-readable per-layer table: index, type, filters, size/stride, output."""
-    rows = [f"{'idx':>3}  {'type':<13} {'filters':>7}  {'size/stride':>11}  output"]
+    """Human-readable per-layer table: index, type, filters, size/stride,
+    GFLOP (conv layers, as flops() counts them), output."""
+    rows = [f"{'idx':>3}  {'type':<13} {'filters':>7}  {'size/stride':>11}  "
+            f"{'GFLOP':>6}  output"]
     for l in graph.layers:
         spec = l.spec
         name = type(spec).__name__.lower()
-        filt = size = ""
+        filt = size = gflop = ""
         if isinstance(spec, Convolutional):
             filt = str(spec.filters)
             size = f"{spec.size}x{spec.size}/{spec.stride}"
+            gflop = f"{layer_flops(l) / 1e9:.3f}"
         elif isinstance(spec, Maxpool):
             size = f"{spec.size}x{spec.size}/{spec.stride}"
         elif isinstance(spec, Upsample):
@@ -247,5 +282,6 @@ def layer_table(graph: NetworkGraph) -> str:
         elif isinstance(spec, Shortcut):
             filt = str(spec.from_layer)
         c, h, w = l.out_shape
-        rows.append(f"{l.index:>3}  {name:<13} {filt:>7}  {size:>11}  {c} x {h} x {w}")
+        rows.append(f"{l.index:>3}  {name:<13} {filt:>7}  {size:>11}  {gflop:>6}  "
+                    f"{c} x {h} x {w}")
     return "\n".join(rows)

@@ -5,12 +5,20 @@ with no batch dimension. Kernels return new arrays, except the activations,
 which overwrite their input, and shortcut_add(..., out=current). README.md's
 tensor bullet describes conv2d's row bands and filter blocks.
 
+A map's repeat mask is an (H-1,) bool array: entry i says row i+1 is bitwise
+equal to row i in every channel (a landscape frame's letterbox pad is such a
+run of rows). Given its input's mask, conv2d computes only the output rows
+that window_repeats does not mark and copies each marked run from the row
+above it: a marked row's window and the window above it lie inside the map
+and cover only equal rows, so both read the same column vector.
+
 conv2d accumulates in float64 and casts to float32, within 1e-5 relative of
-a direct-definition oracle. A band's or filter block's float64 product, or
-another BLAS thread count (blas_threads), may change the product's last
-bits; the float32 cast has absorbed every such difference tried. The tests
-hold conv2d bit-equal to the untiled kernel, and the reference heads
-bit-equal at one BLAS thread and at the default count.
+a direct-definition oracle. A band's or filter block's float64 product, a
+column's place in the product, or another BLAS thread count (blas_threads),
+may change the product's last bits; the float32 cast has absorbed every such
+difference tried. The tests hold conv2d bit-equal to the untiled kernel, with
+and without a mask, and the reference heads bit-equal at one BLAS thread and
+at the default count.
 """
 
 from __future__ import annotations
@@ -115,11 +123,30 @@ def conv_output_size(extent: int, size: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - size) // stride + 1
 
 
-def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
+def window_repeats(repeats: np.ndarray, size: int, stride: int,
+                   padding: int) -> np.ndarray:
+    """Repeat mask of a size/stride/padding window op's output, from its input's.
+
+    Output row y is marked when the input rows from the top of window y-1 to
+    the bottom of window y all lie inside the map and are all equal.
+    """
+    h = len(repeats) + 1
+    equal_before = np.concatenate(([0], np.cumsum(repeats)))  # marks in repeats[:i]
+    y = np.arange(1, conv_output_size(h, size, stride, padding))
+    lo = (y - 1) * stride - padding
+    hi = y * stride - padding + size - 1
+    inside = (lo >= 0) & (hi < h)
+    lo, hi = lo.clip(0, h - 1), hi.clip(0, h - 1)
+    return inside & (equal_before[hi] - equal_before[lo] == hi - lo)
+
+
+def conv2d(x: np.ndarray, params: ConvParams,
+           repeats: np.ndarray | None = None) -> np.ndarray:
     """2-D cross-correlation with zero padding, plus batch-norm and bias.
 
     x: (c_in, H, W) float32. Returns (filters, out_h, out_w) float32.
-    No activation is applied here.
+    No activation is applied here. With x's repeat mask, the output rows
+    that window_repeats marks are copied from the row above.
     """
     _check_chw(x)
     c_in, h, w = x.shape
@@ -131,6 +158,9 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     ow = conv_output_size(w, k, s, p)
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k}x{k} (pad {p}) does not fit input {h}x{w}")
+    if repeats is not None and repeats.shape != (h - 1,):
+        raise ShapeError(f"repeat mask must have shape ({h - 1},) for {h} rows, "
+                         f"got {repeats.shape}")
 
     n, depth = params.filters, c_in * k * k
     flat_w = params.weights.reshape(n, depth)
@@ -157,8 +187,14 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     col_buf = np.empty(depth * rows * ow, dtype=np.float64)
     prod_buf = np.empty(n * rows * ow, dtype=np.float64)
     out = np.empty((n, oh, ow), dtype=FLOAT)
-    for y0 in range(0, oh, rows):
-        r = min(rows, oh - y0)
+    copied = np.zeros(oh, dtype=bool)
+    if repeats is not None:
+        copied[1:] = window_repeats(repeats, k, s, p)
+    # Rows switch between computed and copied at these edges; row 0 is computed.
+    edges = [0, *(np.flatnonzero(copied[1:] != copied[:-1]) + 1).tolist(), oh]
+    runs = list(zip(edges, edges[1:]))
+    for y0, r in ((y, min(rows, b - y)) for a, b in runs if not copied[a]
+                  for y in range(a, b, rows)):
         top = y0 * s - p  # image row under the band's first window row
         src = x
         if p:
@@ -183,6 +219,12 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
             prod *= scale
         prod += shift
         out[:, y0:y0 + r] = prod.reshape(n, r, ow)
+    # Each copied run repeats the computed row above it. The source is a copy
+    # of that row: out[:, a - 1:a] itself overlaps the destination, and numpy
+    # would buffer the whole destination.
+    for a, b in runs:
+        if copied[a]:
+            out[:, a:b] = out[:, a - 1:a].copy()
     return out
 
 

@@ -310,7 +310,13 @@ def activate_seed(x, kind):
 
 
 def forward_seed(graph, x):
-    """Run the network keeping every layer's output; {yolo index: head}.
+    """{yolo index: head} of layer_outputs_seed."""
+    outputs = layer_outputs_seed(graph, x)
+    return {l.index: outputs[l.index] for l in graph.yolo_layers}
+
+
+def layer_outputs_seed(graph, x):
+    """Run the network keeping every layer's output; returns them in order.
 
     Uses conv2d_seed, maxpool_seed and activate_seed, and the package's
     upsample, concat and shortcut kernels.
@@ -321,7 +327,6 @@ def forward_seed(graph, x):
 
     x = np.ascontiguousarray(x, dtype=np.float32)
     outputs = []
-    heads = {}
     for layer in graph.layers:
         spec = layer.spec
         src = [x if r == -1 else outputs[r] for r in layer.inputs]
@@ -337,9 +342,8 @@ def forward_seed(graph, x):
             out = tensor.upsample_nearest(src[0], spec.stride)
         else:  # Yolo: passthrough
             out = src[0]
-            heads[layer.index] = out
         outputs.append(out)
-    return heads
+    return outputs
 
 
 # ------------------------------------------------------------ scalar splitmix64

@@ -503,6 +503,22 @@ class TestIngestion:
             dims_from_coco_json(path)
 
 
+    @pytest.mark.parametrize("bbox, message", [
+        (["a", None, 10, 10], r"\('a', None\) holds a value that is not a JSON number"),
+        ([0, float("nan"), 10, 10], r"\(0.0, nan\) is not finite"),
+        ([float("-inf"), 0, 10, 10], r"\(-inf, 0.0\) is not finite"),
+        ([0, True, 10, 10], r"\(0, True\) holds a value that is not a JSON number"),
+    ])
+    def test_coco_bad_bbox_corner(self, tmp_path, bbox, message):
+        doc = {"images": [{"id": 1, "width": 100, "height": 100}],
+               "annotations": [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]},
+                               {"image_id": 1, "category_id": 1, "bbox": bbox}]}
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=r"ann\.json: annotation 1: bbox corner \(x, y\) = " + message):
+            dims_from_coco_json(path)
+
 class TestEndToEndRecovery:
     def test_416_pixel_recovery_within_two_percent(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, TINY_CFG,
                       craft_planted_params, write_ppm_image)
 from littleyolo import cli, pipeline, tensor, weights
 from littleyolo import evaluate as eval_mod
+from littleyolo import graph as graph_mod
 from littleyolo.cli import main
 from littleyolo.config import (load_config, lower_to_specs, parse_config,
                                reference_config_path)
@@ -328,6 +329,32 @@ class TestDetect:
         assert detect("w2", "2") == serial
         monkeypatch.setattr(tensor, "_openblas", lambda: None)
         assert detect("w2_no_control", "2") == serial
+
+    def test_letterbox_frames_workers_agree(self, capsys, tmp_path, ref_weights_416,
+                                            monkeypatch):
+        # 4:3 and 16:9 frames are padded with rows, whose repeats the forward
+        # pass computes once; a portrait frame is padded with columns. The
+        # JSON is the same for any worker count, and with no rows skipped.
+        d = tmp_path / "imgs"
+        d.mkdir()
+        rng = np.random.default_rng(12)
+        frames = {"a": (60, 80, 3), "b": (72, 128, 3), "c": (80, 60, 3)}
+        for name, shape in frames.items():
+            write_ppm_image(d / f"{name}.ppm", rng.integers(0, 256, shape).astype(np.uint8))
+
+        def detect(sub, workers):
+            out_dir = tmp_path / sub
+            code, _, _ = run_cli(capsys, "detect", "--weights", str(ref_weights_416),
+                                 "--input", str(d), "--output", str(out_dir),
+                                 "--workers", workers)
+            assert code == 0
+            return [(out_dir / f"{name}.json").read_bytes() for name in frames]
+
+        serial = detect("w1", "1")
+        assert detect("w2", "2") == serial
+        monkeypatch.setattr(graph_mod, "repeated_rows",
+                            lambda x: np.zeros(x.shape[1] - 1, dtype=bool))
+        assert detect("no_repeats", "2") == serial
 
     def test_bbox_corners_are_floats(self, capsys, tmp_path, ref_weights_416):
         # Random 416 weights give boxes far past the image, so most corners

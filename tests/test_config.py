@@ -137,6 +137,41 @@ class TestLower:
         with pytest.raises(ConfigError):
             lower(MINI + "\n[route]\nlayers=4\n")
 
+    @pytest.mark.parametrize("text, value", [
+        ("16", 16), ("-0", 0), ("+5", 5), ("007", 7), ("1e3", 1000.0), ("-2.5E-3", -0.0025),
+        (".5", 0.5), ("5.", 5.0), ("0.9", 0.9)])
+    def test_ascii_decimal_numbers(self, text, value):
+        got = parse_config(f"[net]\nwidth={text}\n").sections[0].values["width"]
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("text", ["1_6", "\u0661\u0660", "\uff11\uff16", "0x10", "inf",
+                                      "nan", "1e", "e3", ".", "1.5.2", "--1", "1e_3"])
+    def test_other_text_is_not_a_number(self, text):
+        # darknet's atoi reads "1_6" as 1; int() would read 16
+        assert parse_config(f"[net]\nwidth={text}\n").sections[0].values["width"] == text
+        bad = (f"[net]\nwidth=8\nheight=8\nchannels=1\n\n"
+               f"[convolutional]\nfilters={text}\nsize=1\n")
+        with pytest.raises(ConfigError, match=f"line 7: .*'filters' must be an integer, "
+                                              f"got '{text}'"):
+            lower(bad)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1_0.5"])
+    def test_float_key_takes_only_decimal_numbers(self, text):
+        # float() reads inf and nan; a threshold of either is no number here
+        bad = ("[net]\nwidth=8\nheight=8\nchannels=1\n\n"
+               f"[yolo]\nclasses=2\nmask=0\nanchors=1,2\nignore_thresh={text}\n")
+        with pytest.raises(ConfigError, match=f"line 10: .*'ignore_thresh' must be a "
+                                              f"number, got '{text}'"):
+            lower(bad)
+        _, specs = lower(bad.replace(text, "7e-1"))
+        assert specs[0].ignore_thresh == 0.7
+
+    def test_non_ascii_digit_in_a_list(self):
+        bad = ("[net]\nwidth=8\nheight=8\nchannels=1\n\n"
+               "[yolo]\nclasses=2\nmask=0,\u0661\nanchors=1,2, 3,4\n")
+        with pytest.raises(ConfigError, match="line 8: .*'mask' must be integers"):
+            lower(bad)
+
     def test_shortcut_resolution(self):
         _, specs = lower(MINI + "\n[shortcut]\nfrom=-3\nactivation=linear\n")
         assert specs[4] == Shortcut(from_layer=1, activation="linear")

@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from littleyolo import tensor
+from littleyolo import graph as graph_mod
+from littleyolo import pipeline, tensor
 from littleyolo.config import (Convolutional, Maxpool, NetParams, Route,
                                Shortcut, Upsample, Yolo, load_config,
                                reference_config_path)
 from littleyolo.graph import (GraphError, build_graph, flops, forward,
-                              layer_table, model_bytes, param_count)
+                              layer_flops, layer_table, model_bytes, param_count)
 from littleyolo.tensor import ShapeError, shortcut_add
 from littleyolo.weights import init_random
-from oracles import forward_seed
+from oracles import forward_seed, layer_outputs_seed
 
 NET8 = NetParams(width=8, height=8, channels=3)
 CONV = Convolutional(filters=4, size=3, stride=1, pad=True,
@@ -448,6 +449,91 @@ class TestForwardMatchesSeed:
         assert calls == [False, False, True] + [False] * 3
 
 
+def letterboxed(graph, width, height, seed=0):
+    """A noise frame of width x height, letterboxed onto graph's input."""
+    image = np.random.default_rng(seed).integers(0, 256, (3, height, width), np.uint8)
+    _, net_h, net_w = graph.input_shape
+    return pipeline.letterbox(image, net_w, net_h)[0]
+
+
+def no_repeats(x):
+    return np.zeros(x.shape[1] - 1, dtype=bool)
+
+
+FRAMES = [(640, 480), (1280, 720), (480, 640)]  # 4:3, 16:9, portrait
+
+
+class TestRepeatedRows:
+    """forward computes each run of repeated letterbox rows once."""
+
+    def test_input_mask(self):
+        x = np.zeros((2, 5, 3), np.float32)
+        x[:, 2] = 1
+        x[1, 4, 2] = -0.0  # equal to 0.0, but not bitwise
+        assert graph_mod.repeated_rows(x).tolist() == [True, False, False, False]
+        assert graph_mod.repeated_rows(np.full((3, 4, 4), np.nan, np.float32)).all()
+
+    def check_heads(self, graph, monkeypatch, width, height):
+        x = letterboxed(graph, width, height)
+        heads = forward(graph, x)
+        monkeypatch.setattr(graph_mod, "repeated_rows", no_repeats)
+        want = forward(graph, x)
+        monkeypatch.undo()
+        assert sorted(heads) == sorted(want)
+        for i in want:
+            assert heads[i].tobytes() == want[i].tobytes(), f"head {i} differs"
+
+    @pytest.mark.parametrize("width, height", FRAMES)
+    def test_heads_unchanged_416(self, ref_graph_randomized, monkeypatch, width, height):
+        self.check_heads(ref_graph_randomized, monkeypatch, width, height)
+
+    @pytest.mark.parametrize("width, height", FRAMES)
+    def test_heads_unchanged_640(self, ref_graph_randomized_640, monkeypatch, width,
+                                 height):
+        self.check_heads(ref_graph_randomized_640, monkeypatch, width, height)
+
+    @pytest.mark.parametrize("width, height", FRAMES)
+    def test_masks_claim_only_equal_rows(self, ref_graph_randomized, monkeypatch,
+                                         width, height):
+        # every layer's mask, against the seed oracle's output of that layer
+        g = ref_graph_randomized
+        masks = {}
+        output_repeats = graph_mod._output_repeats
+
+        def spy(layer, inputs):
+            masks[layer.index] = mask = output_repeats(layer, inputs)
+            return mask
+
+        monkeypatch.setattr(graph_mod, "_output_repeats", spy)
+        x = letterboxed(g, width, height)
+        forward(g, x)
+        outputs = layer_outputs_seed(g, x)
+        assert sorted(masks) == [l.index for l in g.layers]
+        for i, out in enumerate(outputs):
+            assert masks[i].shape == (out.shape[1] - 1,)
+            bits = out.view(np.uint32)
+            for y in np.flatnonzero(masks[i]):
+                assert (bits[:, y + 1] == bits[:, y]).all(), f"layer {i} row {y + 1}"
+        # A landscape frame's pad rows repeat down to the 52x52 maps (layer
+        # 8). A portrait frame pads columns: only the upsample's copies of
+        # each source row repeat, and its route with layer 14 ends them.
+        landscape = width > height
+        assert (masks[0].sum() > 40) == landscape
+        assert masks[8].any() == landscape
+        assert masks[28].sum() >= 13
+        assert not any(masks[i].any() for i in range(29, 33))
+        if not landscape:
+            assert not any(masks[i].any() for i in range(28))
+
+    def test_nan_pad_band_raises(self, ref_graph_randomized, monkeypatch):
+        # the NaN pad rows are equal bit for bit, so all but the first are
+        # copied, and the copies are NaN as well
+        monkeypatch.setattr(pipeline, "GRAY_FILL", np.nan)
+        image = np.random.default_rng(2).uniform(0, 1, (3, 360, 640))
+        with pytest.raises(ValueError, match="head output is not finite"):
+            pipeline.detect(ref_graph_randomized, image)
+
+
 class TestLiveness:
     def test_each_output_freed_once_at_last_use(self):
         g = mixed_graph()
@@ -482,7 +568,8 @@ class TestLiveness:
 
 def traced_forward_peak(graph):
     import tracemalloc
-    x = np.full(graph.input_shape, 0.5, np.float32)
+    # noise, so that no run of rows repeats and every band is computed
+    x = np.random.default_rng(0).uniform(0, 1, graph.input_shape).astype(np.float32)
     tracemalloc.start()
     try:
         forward(graph, x)
@@ -498,6 +585,17 @@ class TestReporting:
         assert len(lines) == 34  # header + 33 layers
         assert "4096 x 13 x 13" in table
         assert "21 x 26 x 26" in lines[-1]
+        assert lines[0].split() == ["idx", "type", "filters", "size/stride", "GFLOP",
+                                    "output"]
+        # layer 0: 2 * 3x3 * 3 channels * 16 filters * 416 * 416
+        assert lines[1].split()[4] == "0.150"
+        gflop = {l.index: float(line.split()[4]) for l, line in
+                 zip(ref_graph_416.layers, lines[1:])
+                 if isinstance(l.spec, Convolutional)}
+        assert all(gflop[i] == round(layer_flops(ref_graph_416.layers[i]) / 1e9, 3)
+                   for i in gflop)
+        assert sum(gflop.values()) == pytest.approx(flops(ref_graph_416), abs=0.01)
+        assert "shortcut            1                       64 x 208 x 208" in table
 
     def test_param_count_headless(self):
         g = build_graph([NET8, CONV])

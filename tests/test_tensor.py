@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littleyolo import tensor
+from littleyolo.graph import repeated_rows
 from littleyolo.tensor import (BatchNorm, ConvParams, ShapeError, activate,
                                concat_channels, conv2d, conv_output_size,
                                leaky_relu, maxpool, shortcut_add,
@@ -190,6 +191,116 @@ class TestBandRows:
                 assert tensor._band_rows(16, 3, 40, 40) == rows
                 got = conv2d(x, p)
             assert np.array_equal(got, conv2d_seed(x, p))
+
+
+def plant_runs(x, runs):
+    """x with each (start, length) run of rows set equal to row start."""
+    x = x.copy()
+    for start, length in runs:
+        x[:, start + 1:start + length + 1] = x[:, start:start + 1]
+    return x
+
+
+def window_repeats_oracle(repeats, size, stride, padding):
+    """Row by row: output row y repeats row y-1 when every input row from the
+    top of window y-1 to the bottom of window y is inside and equal."""
+    h = len(repeats) + 1
+    out = []
+    for y in range(1, conv_output_size(h, size, stride, padding)):
+        lo, hi = (y - 1) * stride - padding, y * stride - padding + size - 1
+        out.append(lo >= 0 and hi < h and all(repeats[lo:hi]))
+    return np.array(out, dtype=bool)
+
+
+class TestRepeatedRows:
+    # (start, length) runs on a 14-row map: top, bottom, middle, one and two
+    # rows long, and two runs in one map
+    RUNS = [[(0, 1)], [(0, 3)], [(0, 6)], [(11, 2)], [(10, 3)], [(7, 6)], [(5, 1)],
+            [(5, 2)], [(4, 3)], [(3, 8)], [(0, 4), (8, 5)], [(2, 2), (6, 3)]]
+
+    @pytest.mark.parametrize("runs", RUNS)
+    @pytest.mark.parametrize("k, s, p", [(k, s, p) for k in (1, 3) for s in (1, 2)
+                                         for p in (0, 1)])
+    def test_masked_conv_bit_equal(self, runs, k, s, p):
+        rng = np.random.default_rng(k * 100 + s * 10 + p)
+        x = plant_runs(rng.standard_normal((5, 14, 9)).astype(np.float32), runs)
+        bn = BatchNorm(gamma=rng.uniform(0.5, 2, 6).astype(np.float32),
+                       mean=rng.standard_normal(6).astype(np.float32),
+                       var=rng.uniform(0.1, 2, 6).astype(np.float32))
+        params = make_conv(rng.standard_normal((6, 5, k, k)), rng.standard_normal(6),
+                           s, p, bn)
+        repeats = repeated_rows(x)
+        assert repeats.sum() == sum(length for _, length in runs)
+        got = conv2d(x, params, repeats)
+        want = conv2d(x, params)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(want, conv2d_seed(x, params))
+        copied = tensor.window_repeats(repeats, k, s, p)
+        assert np.array_equal(copied, window_repeats_oracle(repeats, k, s, p))
+        assert all((got[:, y + 1] == got[:, y]).all() for y in np.flatnonzero(copied))
+
+    def test_long_runs_are_copied_not_computed(self, monkeypatch):
+        # A 30-row map whose rows 2..27 are equal: with its mask, a 3x3 pad-1
+        # conv multiplies rows 0-3 and 27-29 only, in two bands.
+        rng = np.random.default_rng(3)
+        x = plant_runs(rng.standard_normal((2, 30, 6)).astype(np.float32), [(2, 25)])
+        params = make_conv(rng.standard_normal((3, 2, 3, 3)), padding=1)
+        columns = []
+        matmul = np.matmul
+
+        def spy(a, b, out=None):
+            columns.append(b.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(tensor.np, "matmul", spy)
+        got = conv2d(x, params, repeated_rows(x))
+        monkeypatch.undo()
+        assert columns == [4 * 6, 3 * 6]
+        assert got.tobytes() == conv2d(x, params).tobytes()
+
+    def test_masked_tiled_conv_bit_equal(self):
+        # 1-row bands inside the computed runs, filter blocks of one filter
+        rng = np.random.default_rng(8)
+        x = plant_runs(rng.standard_normal((4, 20, 11)).astype(np.float32),
+                       [(0, 5), (9, 2), (14, 5)])
+        params = make_conv(rng.standard_normal((5, 4, 3, 3)), rng.standard_normal(5),
+                           1, 1)
+        with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
+                mock.patch.object(tensor, "BAND_BYTES", 1), \
+                mock.patch.object(tensor, "WEIGHT_BLOCK_BYTES", 1):
+            got = conv2d(x, params, repeated_rows(x))
+        assert got.tobytes() == conv2d_seed(x, params).tobytes()
+
+    def test_all_false_mask_is_no_mask(self):
+        rng = np.random.default_rng(4)
+        x = plant_runs(rng.standard_normal((3, 10, 10)).astype(np.float32), [(0, 9)])
+        params = make_conv(rng.standard_normal((4, 3, 3, 3)), padding=1)
+        got = conv2d(x, params, np.zeros(9, dtype=bool))
+        assert got.tobytes() == conv2d(x, params).tobytes()
+
+    def test_mask_of_another_height_rejected(self):
+        params = make_conv(np.ones((1, 1, 3, 3)), padding=1)
+        with pytest.raises(ShapeError, match=r"repeat mask must have shape \(9,\)"):
+            conv2d(np.zeros((1, 10, 4), np.float32), params, np.zeros(10, dtype=bool))
+
+    def test_nan_rows_stay_nan(self):
+        x = np.full((1, 12, 4), np.nan, dtype=np.float32)
+        x[:, :2] = 1
+        params = make_conv(np.ones((1, 1, 3, 3)), padding=1)
+        got = conv2d(x, params, repeated_rows(x))
+        assert np.isnan(got[:, 1:]).all() and np.isfinite(got[:, 0]).all()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.booleans(), min_size=0, max_size=24), st.integers(1, 5),
+           st.integers(1, 3), st.integers(0, 5))
+    def test_window_repeats_matches_oracle(self, repeats, size, stride, padding):
+        repeats = np.array(repeats, dtype=bool)
+        padding = min(padding, size)
+        if conv_output_size(len(repeats) + 1, size, stride, padding) < 1:
+            return
+        assert np.array_equal(tensor.window_repeats(repeats, size, stride, padding),
+                              window_repeats_oracle(repeats, size, stride, padding))
 
 
 def test_bn_epilogue_order_matches_seed():
