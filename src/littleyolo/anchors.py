@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import to_floats
 from .evaluate import Boxes, GroundTruth, _finite, read_json, voc_files
 from .rng import uniform_stream
 
@@ -220,8 +221,8 @@ def dims_from_voc_dir(path, class_names: set[str] | None = None) -> np.ndarray:
     for f, root in voc_files(Path(path), boxes):
         try:
             size = (0.0, 0.0) if (tag := root.find("size")) is None else _finite(
-                "(width, height)", (float(tag.findtext("width", "0")),
-                                    float(tag.findtext("height", "0"))))
+                "(width, height)", tuple(to_floats([tag.findtext("width", "0"),
+                                                    tag.findtext("height", "0")])))
         except ValueError as exc:
             raise ValueError(f"{f}: <size>: {exc}") from None
         sizes += size * (len(boxes) - len(sizes) // 2)

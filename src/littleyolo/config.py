@@ -141,6 +141,23 @@ def _parse_scalar(text: str) -> Value:
     return text
 
 
+def to_floats(texts: list[str]) -> list[float]:
+    """texts, each one of the numbers above with blanks around it, as floats;
+    else ValueError for the first that is not. float() reads ASCII text with
+    no '_' only as such a number, inf or nan (which callers reject as not
+    finite), so texts are checked together, and one by one on failure."""
+    joined = "".join(texts)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return list(map(float, texts))
+        except ValueError:
+            pass
+    for text in texts:
+        if not _FLOAT.fullmatch(text.strip()):
+            raise ValueError(f"could not convert string to float: {text!r}")
+    return list(map(float, texts))
+
+
 def _parse_value(text: str) -> Value:
     if "," in text:
         items = [t.strip() for t in text.split(",")]

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BBox, iou_matrix
+from .config import to_floats
 
 INTERPOLATIONS = ("all", "11point")
 
@@ -265,7 +266,8 @@ def mean_ap(corpus: EvalCorpus, iou_threshold: float = 0.5,
 def load_ground_truth(path) -> Boxes:
     """Ground truth from a directory of VOC XML files or a flat text file.
 
-    Flat lines: image_id class x1 y1 x2 y2 [difficult]
+    Flat lines: image_id class x1 y1 x2 y2 [difficult], the flag 0, 1 or
+    difficult. A VOC <difficult> is 0 or 1 (missing means 0).
     """
     p, out = Path(path), Boxes(GroundTruth)
     if p.is_dir():
@@ -273,7 +275,7 @@ def load_ground_truth(path) -> Boxes:
             pass
     else:
         for f, box in _text_records(p, "image_id class x1 y1 x2 y2 [difficult]"):
-            out.extend(f[0], [f[1]], box, [len(f) == 7 and f[6] in ("1", "difficult")])
+            out.extend(f[0], [f[1]], box, [len(f) == 7 and f[6] != "0"])
     return out
 
 
@@ -281,29 +283,35 @@ def voc_files(p: Path, out: Boxes):
     """Append to out every <object> with a <bndbox> of each VOC XML file of
     directory p, by name, as a box of image id the file's stem, and yield
     (file, root) after each. XML that does not parse or declares an unknown
-    encoding (ElementTree raises a SyntaxError or a LookupError), and a
-    <bndbox> value that is not a finite number, raise ValueError naming the file."""
+    encoding (ElementTree raises a SyntaxError or a LookupError), a <bndbox>
+    value that is not a finite number (config.to_floats) and a <difficult>
+    other than 0 or 1 raise ValueError naming the file and the object."""
     for f in sorted(p.glob("*.xml"), key=lambda f: f.name):
         try:
             root = ET.parse(str(f)).getroot()
         except (ET.ParseError, LookupError) as exc:
             raise ValueError(f"{f}: not well-formed XML: {exc}") from None
-        names, corners, difficult, objects = [], [], [], []  # objects: each box's <object> index
+        names, texts, difficult, objects = [], [], [], []  # objects: each box's <object> index
         for i, obj in enumerate(root.iter("object")):
             if (box := obj.find("bndbox")) is None:
                 continue
-            try:
-                corners += (float(box.findtext("xmin", "0")), float(box.findtext("ymin", "0")),
-                            float(box.findtext("xmax", "0")), float(box.findtext("ymax", "0")))
-            except ValueError as exc:
-                raise ValueError(f"{f}: object {i}: {exc}") from None
+            if (flag := (obj.findtext("difficult") or "0").strip()) not in ("0", "1"):
+                raise ValueError(f"{f}: object {i}: <difficult> {flag!r} is not 0 or 1")
+            texts += (box.findtext("xmin", "0"), box.findtext("ymin", "0"),
+                      box.findtext("xmax", "0"), box.findtext("ymax", "0"))
             objects.append(i)
             names.append((obj.findtext("name") or "object").strip())
-            difficult.append((obj.findtext("difficult") or "0").strip() == "1")
-        if not all(map(math.isfinite, corners)):  # checked once; the first bad box on failure
-            k = int(np.argmin(np.isfinite(np.reshape(corners, (-1, 4))).all(axis=1)))
-            raise ValueError(f"{f}: object {objects[k]}: <bndbox> (xmin, ymin, xmax, ymax) = "
-                             f"{tuple(corners[4 * k:4 * k + 4])} is not finite")
+            difficult.append(flag == "1")
+        try:  # checked once; the first bad object on failure
+            if not all(map(math.isfinite, corners := to_floats(texts))):
+                raise ValueError
+        except ValueError:
+            for k, i in enumerate(objects):
+                try:
+                    _finite("<bndbox> (xmin, ymin, xmax, ymax)",
+                            tuple(to_floats(texts[4 * k:4 * k + 4])))
+                except ValueError as exc:
+                    raise ValueError(f"{f}: object {i}: {exc}") from None
         out.extend(f.stem, names, corners, difficult)
         yield f, root
 
@@ -329,12 +337,14 @@ def read_json(p):
 
 def _text_records(p: Path, form: str):
     """(fields, numbers) of each record line of flat text file p. '#' starts a
-    comment; a line holds the fields that form names (a bracketed last one is
-    optional), and the ones after image_id and class must be finite numbers.
-    Errors raise ValueError naming p:line (p alone when it is not UTF-8)."""
+    comment; a line holds the fields that form names, and the ones after
+    image_id and class must be finite numbers (config.to_floats), but for a
+    bracketed last one: an optional flag, 0, 1 or its name. Errors raise
+    ValueError naming p:line (p alone when it is not UTF-8)."""
     names = form.split()
     numbers = [n for n in names[2:] if not n.startswith("[")]
     what = f"({', '.join(numbers)})"
+    flags = ("0", "1", names[-1].strip("[]"))
     lineno = 0
     try:  # a file that is not UTF-8 fails before line 1
         for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
@@ -343,7 +353,9 @@ def _text_records(p: Path, form: str):
                 continue
             if not 2 + len(numbers) <= len(fields) <= len(names):
                 raise ValueError(f"expected '{form}', got {raw!r}")
-            yield fields, _finite(what, tuple(map(float, fields[2:2 + len(numbers)])))
+            if len(fields) > 2 + len(numbers) and fields[-1] not in flags:
+                raise ValueError(f"{flags[2]} flag {fields[-1]!r} is not one of {flags}")
+            yield fields, _finite(what, tuple(to_floats(fields[2:2 + len(numbers)])))
     except ValueError as exc:
         raise ValueError(f"{p}:{lineno}: {exc}" if lineno else f"{p}: {exc}") from None
 

@@ -72,74 +72,48 @@ def build_graph(specs: list[NetParams | LayerSpec]) -> NetworkGraph:
     input_shape = (net.channels, net.height, net.width)
 
     graph = NetworkGraph(input_shape=input_shape)
-    shapes: list[tuple[int, int, int]] = []  # per-layer output shapes
-
-    def shape_of(ref: int) -> tuple[int, int, int]:
-        return input_shape if ref == NET_INPUT else shapes[ref]
-
     for i, spec in enumerate(layer_specs):
         prev = i - 1 if i > 0 else NET_INPUT
-        if isinstance(spec, Convolutional):
-            inputs = (prev,)
-            c, h, w = shape_of(prev)
-            oh = conv_output_size(h, spec.size, spec.stride, spec.padding)
-            ow = conv_output_size(w, spec.size, spec.stride, spec.padding)
-            if oh < 1 or ow < 1:
-                raise GraphError(f"layer {i}: conv {spec.size}x{spec.size} does not "
-                                 f"fit input {h}x{w}")
-            out = (spec.filters, oh, ow)
-            in_channels = c
-        elif isinstance(spec, Maxpool):
-            inputs = (prev,)
-            c, h, w = shape_of(prev)
-            oh = conv_output_size(h, spec.size, spec.stride, spec.padding)
-            ow = conv_output_size(w, spec.size, spec.stride, spec.padding)
-            if oh < 1 or ow < 1:
-                raise GraphError(f"layer {i}: pool window {spec.size} larger than "
-                                 f"input {h}x{w} with padding {spec.padding}")
-            out = (c, oh, ow)
-            in_channels = c
-        elif isinstance(spec, Route):
+        if isinstance(spec, Route):
             inputs = spec.layers
             if any(ref < 0 or ref >= i for ref in inputs):
                 raise GraphError(f"layer {i}: route references {inputs} must point "
                                  "at earlier layers")
-            srcs = [shape_of(r) for r in inputs]
-            spatial = {s[1:] for s in srcs}
-            if len(spatial) != 1:
-                raise GraphError(f"layer {i}: route sources disagree on spatial "
-                                 f"shape: {srcs}")
-            out = (sum(s[0] for s in srcs),) + srcs[0][1:]
-            in_channels = out[0]
         elif isinstance(spec, Shortcut):
             if spec.from_layer < 0 or spec.from_layer >= i:
                 raise GraphError(f"layer {i}: shortcut from {spec.from_layer} must "
                                  "point at an earlier layer")
             inputs = (prev, spec.from_layer)
-            cur, skip = shape_of(prev), shape_of(spec.from_layer)
-            if cur[1:] != skip[1:]:
-                raise GraphError(f"layer {i}: shortcut spatial mismatch "
-                                 f"{cur} vs {skip}")
-            out = cur
-            in_channels = cur[0]
+        else:
+            inputs = (prev,)
+        srcs = [input_shape if r == NET_INPUT else graph.layers[r].out_shape for r in inputs]
+        if len({s[1:] for s in srcs}) != 1:  # route and shortcut: one spatial shape
+            raise GraphError(f"layer {i}: route sources disagree on spatial shape: {srcs}"
+                             if isinstance(spec, Route) else
+                             f"layer {i}: shortcut spatial mismatch {srcs[0]} vs {srcs[1]}")
+        c, h, w = srcs[0]
+        in_channels = sum(s[0] for s in srcs) if isinstance(spec, Route) else c
+        out = (in_channels, h, w)  # route, shortcut and yolo
+        if isinstance(spec, (Convolutional, Maxpool)):
+            oh = conv_output_size(h, spec.size, spec.stride, spec.padding)
+            ow = conv_output_size(w, spec.size, spec.stride, spec.padding)
+            conv = isinstance(spec, Convolutional)
+            if oh < 1 or ow < 1:
+                raise GraphError(f"layer {i}: conv {spec.size}x{spec.size} does not fit "
+                                 f"input {h}x{w}" if conv else
+                                 f"layer {i}: pool window {spec.size} larger than "
+                                 f"input {h}x{w} with padding {spec.padding}")
+            out = (spec.filters if conv else c, oh, ow)
         elif isinstance(spec, Upsample):
-            inputs = (prev,)
-            c, h, w = shape_of(prev)
             out = (c, h * spec.stride, w * spec.stride)
-            in_channels = c
         elif isinstance(spec, Yolo):
-            inputs = (prev,)
-            c, h, w = shape_of(prev)
             want = len(spec.mask) * (5 + spec.classes)
             if c != want:
                 raise GraphError(f"layer {i}: yolo expects {want} input channels "
                                  f"({len(spec.mask)} anchors x (5 + {spec.classes} "
                                  f"classes)) but gets {c}")
-            out = (c, h, w)
-            in_channels = c
-        else:
+        elif not isinstance(spec, (Route, Shortcut)):
             raise GraphError(f"layer {i}: unsupported spec {type(spec).__name__}")
-        shapes.append(out)
         graph.layers.append(Layer(index=i, spec=spec, inputs=inputs,
                                   in_channels=in_channels, out_shape=out))
 
@@ -262,16 +236,18 @@ def flops(graph: NetworkGraph) -> float:
 
 def layer_table(graph: NetworkGraph) -> str:
     """Human-readable per-layer table: index, type, filters, size/stride,
-    GFLOP (conv layers, as flops() counts them), output."""
+    params and GFLOP (conv layers, as param_count and flops() count them),
+    output."""
     rows = [f"{'idx':>3}  {'type':<13} {'filters':>7}  {'size/stride':>11}  "
-            f"{'GFLOP':>6}  output"]
+            f"{'params':>9}  {'GFLOP':>6}  output"]
     for l in graph.layers:
         spec = l.spec
         name = type(spec).__name__.lower()
-        filt = size = gflop = ""
+        filt = size = params = gflop = ""
         if isinstance(spec, Convolutional):
             filt = str(spec.filters)
             size = f"{spec.size}x{spec.size}/{spec.stride}"
+            params = str(layer_param_count(spec, l.in_channels))
             gflop = f"{layer_flops(l) / 1e9:.3f}"
         elif isinstance(spec, Maxpool):
             size = f"{spec.size}x{spec.size}/{spec.stride}"
@@ -282,6 +258,6 @@ def layer_table(graph: NetworkGraph) -> str:
         elif isinstance(spec, Shortcut):
             filt = str(spec.from_layer)
         c, h, w = l.out_shape
-        rows.append(f"{l.index:>3}  {name:<13} {filt:>7}  {size:>11}  {gflop:>6}  "
-                    f"{c} x {h} x {w}")
+        rows.append(f"{l.index:>3}  {name:<13} {filt:>7}  {size:>11}  {params:>9}  "
+                    f"{gflop:>6}  {c} x {h} x {w}")
     return "\n".join(rows)

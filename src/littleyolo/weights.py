@@ -45,13 +45,17 @@ def _conv_layers(graph):
             yield layer
 
 
+def _arrays(spec, in_channels: int) -> list[tuple[str, int]]:
+    """A conv layer's stored arrays as (name, length), in file order: bias,
+    gamma, mean and var (with batch-norm), weights."""
+    n = spec.filters
+    bn = [("gamma", n), ("mean", n), ("var", n)] if spec.batch_normalize else []
+    return [("bias", n), *bn, ("weights", n * in_channels * spec.size ** 2)]
+
+
 def layer_param_count(spec, in_channels: int) -> int:
     """Stored reals for one conv layer: weights + bias (+ gamma/mean/var)."""
-    n = spec.filters
-    count = n * in_channels * spec.size * spec.size + n
-    if spec.batch_normalize:
-        count += 3 * n
-    return count
+    return sum(length for _, length in _arrays(spec, in_channels))
 
 
 def expected_file_size(graph) -> int:
@@ -69,12 +73,10 @@ def save_weights(graph) -> bytes:
         if p is None:
             raise WeightsError(f"layer {layer.index} has no parameters; "
                                "populate the graph before saving")
-        chunks.append(p.bias.astype("<f4").tobytes())
-        if p.batch_norm is not None:
-            chunks.append(p.batch_norm.gamma.astype("<f4").tobytes())
-            chunks.append(p.batch_norm.mean.astype("<f4").tobytes())
-            chunks.append(p.batch_norm.var.astype("<f4").tobytes())
-        chunks.append(p.weights.astype("<f4").tobytes())
+        values = {"bias": p.bias, "weights": p.weights,
+                  **(vars(p.batch_norm) if p.batch_norm else {})}
+        chunks += [values[name].astype("<f4").tobytes()
+                   for name, _ in _arrays(layer.spec, layer.in_channels)]
     return b"".join(chunks)
 
 
@@ -102,42 +104,36 @@ def _read_stream(graph, fh, size: int):
     return _populate(graph, floats, seen)
 
 
+def _views(graph, floats: np.ndarray):
+    """Each conv layer with {name: its view of floats}, its arrays in file order."""
+    pos = 0
+    for layer in _conv_layers(graph):
+        views = {}
+        for name, length in _arrays(layer.spec, layer.in_channels):
+            views[name], pos = floats[pos:pos + length], pos + length
+        yield layer, views
+
+
 def _populate(graph, floats: np.ndarray, seen: int):
     """Give each conv layer views into `floats`, the native float32 values
     after the header, in file order. A non-finite value, or a negative
     variance, raises WeightsError naming the layer and the flat index."""
-    pos = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal pos
-        pos += count
-        return floats[pos - count:pos]
-
-    for layer in _conv_layers(graph):
+    for layer, a in _views(graph, floats):
+        _check_params(layer.index, a)
         spec = layer.spec
-        n, c, k = spec.filters, layer.in_channels, spec.size
-        bias = take(n)
-        bn = None
-        if spec.batch_normalize:
-            bn = BatchNorm(gamma=take(n), mean=take(n), var=take(n),
-                           epsilon=BN_EPSILON)
-        weights = take(n * c * k * k)
-        _check_params(layer.index, bias, bn, weights)
-        layer.params = ConvParams(weights=weights.reshape(n, c, k, k), bias=bias,
-                                  stride=spec.stride, padding=spec.padding,
-                                  batch_norm=bn)
+        shape = (spec.filters, layer.in_channels, spec.size, spec.size)
+        bn = (BatchNorm(gamma=a["gamma"], mean=a["mean"], var=a["var"], epsilon=BN_EPSILON)
+              if spec.batch_normalize else None)
+        layer.params = ConvParams(weights=a["weights"].reshape(shape), bias=a["bias"],
+                                  stride=spec.stride, padding=spec.padding, batch_norm=bn)
     graph.images_seen = seen
     return graph
 
 
-def _check_params(index: int, bias: np.ndarray, bn: BatchNorm | None,
-                  weights: np.ndarray) -> None:
+def _check_params(index: int, arrays: dict[str, np.ndarray]) -> None:
     """Reject the values that would turn a layer's output to NaN: any
     non-finite value, or a negative variance. Indices are flat."""
-    named = [("bias", bias)]
-    if bn is not None:
-        named += [("gamma", bn.gamma), ("mean", bn.mean), ("var", bn.var)]
-    for name, values in named + [("weights", weights)]:
+    for name, values in arrays.items():
         # v @ v is finite only if every value is (squares cannot cancel an
         # inf, NaN propagates), and makes no temporary; as finite extremes
         # can overflow it, a non-finite result is checked value by value
@@ -148,9 +144,9 @@ def _check_params(index: int, bias: np.ndarray, bn: BatchNorm | None,
         if bad.size:
             raise WeightsError(f"layer {index}: {name}[{bad[0]}] is "
                                f"{values[bad[0]]} ({bad.size} non-finite values)")
-    bad = np.flatnonzero(bn.var < 0) if bn is not None else ()
-    if len(bad):
-        raise WeightsError(f"layer {index}: var[{bad[0]}] is {bn.var[bad[0]]}; "
+    var = arrays.get("var", np.zeros(0))
+    if (bad := np.flatnonzero(var < 0)).size:
+        raise WeightsError(f"layer {index}: var[{bad[0]}] is {var[bad[0]]}; "
                            f"batch-norm variance must be >= 0 ({bad.size} negative)")
 
 
@@ -174,18 +170,14 @@ def init_random(graph, seed: int):
     The draws go straight into the one float32 buffer the layers view.
     """
     floats = np.empty((expected_file_size(graph) - HEADER_BYTES) // 4, dtype=FLOAT)
-    pos = drawn = 0
-    for layer in _conv_layers(graph):
-        n = layer.spec.filters
-        size = n * layer.in_channels * layer.spec.size ** 2
-        # bias, then gamma, mean, var with batch-norm, each repeated per filter
-        channel = (0.0, 1.0, 0.0, 1.0) if layer.spec.batch_normalize else (0.0,)
-        floats[pos:pos + n * len(channel)] = np.repeat(channel, n)
-        pos += n * len(channel)
-        uniform_stream(seed, size, INIT_LOW, INIT_HIGH, out=floats[pos:pos + size],
-                       first=drawn)
-        pos += size
-        drawn += size
+    drawn = 0
+    for _, views in _views(graph, floats):
+        for name, view in views.items():
+            if name == "weights":
+                uniform_stream(seed, view.size, INIT_LOW, INIT_HIGH, out=view, first=drawn)
+                drawn += view.size
+            else:
+                view[:] = 1.0 if name in ("gamma", "var") else 0.0
     return _populate(graph, floats, 0)
 
 

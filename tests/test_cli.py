@@ -757,6 +757,70 @@ class TestAnnotationInputErrors:
         assert err.strip() == (f"error: {d / 'bad.xml'}: object 1: <bndbox> (xmin, ymin, "
                                f"xmax, ymax) = (5.0, 5.0, {float(value)}, 50.0) is not finite")
 
+    # int() and float() also read underscores and non-ASCII digits
+    NOT_NUMBERS = ["1_0", "\u0661\u0660", "1e1_0", "0x10", "1 0"]
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS[:3])
+    @pytest.mark.parametrize("which", ["gt", "preds"])
+    def test_flat_text_value_outside_the_number_grammar(self, capsys, tmp_path, which,
+                                                        value):
+        gt = tmp_path / "gt.txt"
+        preds = tmp_path / "preds.txt"
+        gt.write_text("img1 car 0 0 10 10\n"
+                      + (f"img1 car {value} 0 20 10\n" if which == "gt" else ""),
+                      encoding="utf-8")
+        preds.write_text("img1 car 0.9 0 0 10 10\n"
+                         + (f"img1 car 0.8 {value} 0 20 10\n" if which == "preds" else ""),
+                         encoding="utf-8")
+        bad = gt if which == "gt" else preds
+        code, _, err = run_cli(capsys, "eval", "--gt", str(gt), "--preds", str(preds))
+        assert code == 1
+        assert err.strip() == f"error: {bad}:2: could not convert string to float: {value!r}"
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("command", ["eval", "anchors"])
+    def test_voc_value_outside_the_number_grammar(self, capsys, tmp_path, command, value):
+        d = tmp_path / "ann"
+        d.mkdir()
+        write_voc(d, "good", " 100 ", "\n100\t", [("car", 0, " 0", "0 ", "\t10", "10\n")])
+        write_voc(d, "bad", 100, 100, [("car", 0, 0, 0, 10, 10), ("car", 0, value, 0, 20, 10)])
+        code, _, err = self._run_on_voc(capsys, tmp_path, command, d)
+        assert code == 1
+        assert err.strip() == (f"error: {d / 'bad.xml'}: object 1: "
+                               f"could not convert string to float: {value!r}")
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_voc_size_outside_the_number_grammar(self, capsys, tmp_path, value):
+        d = tmp_path / "ann"
+        d.mkdir()
+        write_voc(d, "bad", 100, value, [("car", 0, 0, 0, 10, 10)])
+        code, _, err = run_cli(capsys, "anchors", "--input", str(d), "--k", "1")
+        assert code == 1
+        assert err.strip() == (f"error: {d / 'bad.xml'}: <size>: "
+                               f"could not convert string to float: {value!r}")
+
+    @pytest.mark.parametrize("value", ["true", "2", "yes", "-1", "1.0"])
+    @pytest.mark.parametrize("command", ["eval", "anchors"])
+    def test_voc_difficult_flag(self, capsys, tmp_path, command, value):
+        d = tmp_path / "ann"
+        d.mkdir()
+        write_voc(d, "good", 100, 100, [("car", 0, 0, 0, 10, 10), ("car", value, 0, 0, 20, 10)])
+        code, _, err = self._run_on_voc(capsys, tmp_path, command, d)
+        assert code == 1
+        assert err.strip() == (f"error: {d / 'good.xml'}: object 1: "
+                               f"<difficult> {value!r} is not 0 or 1")
+
+    @pytest.mark.parametrize("value", ["yes", "2", "true", "-1", "Difficult"])
+    def test_flat_text_difficult_flag(self, capsys, tmp_path, value):
+        gt = tmp_path / "gt.txt"
+        preds = tmp_path / "preds.txt"
+        gt.write_text(f"img1 car 0 0 10 10 0\nimg1 car 0 0 20 10 {value}\n")
+        preds.write_text("img1 car 0.9 0 0 10 10\n")
+        code, _, err = run_cli(capsys, "eval", "--gt", str(gt), "--preds", str(preds))
+        assert code == 1
+        assert err.strip() == (f"error: {gt}:2: difficult flag {value!r} is not one of "
+                               "('0', '1', 'difficult')")
+
     @pytest.mark.parametrize("doc, message", [
         ({"image": "scene.ppm"}, "missing key 'detections'"),
         ({"detections": []}, "missing key 'image'"),

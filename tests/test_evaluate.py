@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littleyolo import cli, evaluate
+from littleyolo.anchors import load_dims
 from littleyolo.boxes import BBox, iou_matrix
 from littleyolo.evaluate import (INTERPOLATIONS, Boxes, EvalCorpus, GroundTruth,
                                  Prediction, average_precision,
@@ -378,6 +379,14 @@ class TestLoaders:
         assert by_name["car"].difficult is False
         assert by_name["bus"].difficult is True
         assert by_name["bus"].bbox == BBox(5, 5, 50, 50)
+
+    def test_voc_blanks_around_numbers(self, tmp_path):
+        # blanks, ASCII or not, around a number stay accepted, as float() takes them
+        write_voc(tmp_path, "img1", " 100\n", "\t50 ",
+                  [("car", " 1 ", " 5", "5\n", "\u00a050\u3000", "\t25")])
+        gts = list(load_ground_truth(tmp_path))
+        assert [(g.bbox, g.difficult) for g in gts] == [(BBox(5, 5, 50, 25), True)]
+        assert load_dims(tmp_path).tolist() == [[0.45, 0.4]]
 
     def test_text_ground_truth(self, tmp_path):
         f = tmp_path / "gt.txt"

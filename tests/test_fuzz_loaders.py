@@ -5,6 +5,7 @@ loader that reads a file names that file first in its message."""
 import json
 import struct
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from littleyolo.anchors import load_dims
-from littleyolo.config import (KNOWN_KEYS, KNOWN_SECTIONS, load_config, lower_to_specs,
-                               parse_config)
+from littleyolo.config import (_FLOAT, KNOWN_KEYS, KNOWN_SECTIONS, load_config,
+                               lower_to_specs, parse_config)
 from littleyolo.evaluate import load_ground_truth, load_predictions
 from littleyolo.graph import build_graph
 from littleyolo.imaging import read_image
@@ -28,6 +29,9 @@ NUMBER = st.one_of(
     st.integers(-5, 300).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "", "abc", "0x10", "1_0", "-0"]),
+    # underscores, non-ASCII digits and blanks, which int() and float() also read
+    st.sampled_from(["1_0", "+1_0.5", "1e1_0", "\u0661\u0660", "\u0663.5", "\uff15",
+                     " 5 ", "\t7\n", "\u00a05", "5\u3000"]),
     st.text(max_size=4))
 JSON_FIELD = st.one_of(st.integers(-5, 300), st.floats(), st.none(), st.booleans(),
                        st.text(max_size=3), st.lists(st.integers(0, 5), max_size=2))
@@ -36,6 +40,11 @@ JSON_ANY = st.recursive(
     lambda kids: st.one_of(st.lists(kids, max_size=3),
                            st.dictionaries(st.text(max_size=6), kids, max_size=3)),
     max_leaves=12)
+
+
+def numbers(texts):
+    """Whether each text is one number of the cfg grammar, blanks around it allowed."""
+    return all(_FLOAT.fullmatch(t.strip()) for t in texts)
 
 
 def loads_or_names(path, load, *args):
@@ -240,7 +249,8 @@ def voc_text(draw):
     for _ in range(draw(st.integers(0, 3))):
         box = "".join(tag(k, draw(VOC_FIELD)) for k in ("xmin", "ymin", "xmax", "ymax"))
         objects.append("<object>" + tag("name", draw(st.sampled_from(["car", "bus", "", None])))
-                       + tag("difficult", draw(st.sampled_from(["0", "1", "x", None])))
+                       + tag("difficult", draw(st.sampled_from(
+                           ["0", "1", " 1 ", "", "x", "true", "2", None])))
                        + (f"<bndbox>{box}</bndbox>" if draw(st.booleans()) else "")
                        + "</object>")
     size = tag("size", tag("width", draw(VOC_FIELD)) + tag("height", draw(VOC_FIELD)))
@@ -253,6 +263,8 @@ def voc_text(draw):
 
 @FUZZ
 @given(data=text_file(voc_text()))
+@example(data=b"<annotation><object><difficult>true</difficult><bndbox><xmin>1_0</xmin>"
+              b"</bndbox></object></annotation>")
 def test_voc_directory(tmp_path, data):
     f = tmp_path / "frame.xml"
     f.write_bytes(data)
@@ -262,6 +274,11 @@ def test_voc_directory(tmp_path, data):
         assert dims is None
     if dims is not None:
         assert ((dims > 0) & (dims <= 1)).all()
+    if gts is not None:  # loaded: each box read holds numbers and a 0 or 1 flag
+        for obj in ET.fromstring(data).iter("object"):
+            if (box := obj.find("bndbox")) is not None:
+                assert numbers(box.findtext(k, "0") for k in ("xmin", "ymin", "xmax", "ymax"))
+                assert (obj.findtext("difficult") or "0").strip() in ("0", "1")
 
 
 DETECTION = partial_dict({
@@ -327,16 +344,28 @@ def test_coco_json(tmp_path, data):
                 assert is_json_number(img["width"]) and is_json_number(img["height"])
 
 
-FLAT_TOKEN = st.one_of(NUMBER, st.sampled_from(["img1", "car", "difficult", "1", "#", "# x"]))
+FLAT_TOKEN = st.one_of(NUMBER, st.sampled_from(["img1", "car", "difficult", "1", "0", "yes",
+                                                 "#", "# x"]))
 FLAT_TEXT = st.lists(st.lists(FLAT_TOKEN, max_size=9).map(" ".join), max_size=6).map("\n".join)
 
 
 @FUZZ
 @given(data=text_file(FLAT_TEXT))
+@example(data="img1 car 1_0 0 20 10\nimg1 car 0.9 0 0 \u0661\u0660 10".encode())
+@example(data=b"img1 car 0 0 20 10 yes\nimg1 car 0 0 20 10 2")
 def test_flat_text(tmp_path, data):
     f = tmp_path / "boxes.txt"
     f.write_bytes(data)
-    for item in loads_or_names(f, load_ground_truth, f) or ():
+    records = [fields for line in data.decode("utf-8", "replace").splitlines()
+               if (fields := line.split("#", 1)[0].split())]
+    gts = loads_or_names(f, load_ground_truth, f)
+    for item in gts or ():
         assert np.isfinite(list(item.bbox)).all()
-    for item in loads_or_names(f, load_predictions, f) or ():
+    if gts is not None:  # loaded: numbers, and a 0, 1 or difficult flag
+        assert all(numbers(r[2:6]) and r[6:] in ([], ["0"], ["1"], ["difficult"])
+                   for r in records)
+    preds = loads_or_names(f, load_predictions, f)
+    for item in preds or ():
         assert np.isfinite([item.confidence, *item.bbox]).all()
+    if preds is not None:
+        assert all(numbers(r[2:7]) for r in records)

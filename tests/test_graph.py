@@ -95,7 +95,46 @@ class TestBuild:
                 build_graph(specs)
 
 
+DOWN = Convolutional(filters=4, size=3, stride=2, pad=True, batch_normalize=True,
+                     activation="leaky")
+
+
 class TestBuildErrors:
+    @pytest.mark.parametrize("specs, message", [
+        ([NET8, Convolutional(filters=1, size=9)],
+         "layer 0: conv 9x9 does not fit input 8x8"),
+        ([NetParams(width=8, height=2, channels=3), Convolutional(filters=1, size=3)],
+         "layer 0: conv 3x3 does not fit input 2x8"),
+        ([NET8, DOWN, Convolutional(filters=1, size=5)],
+         "layer 1: conv 5x5 does not fit input 4x4"),
+        ([NET8, Maxpool(size=13, stride=1, padding=2)],
+         "layer 0: pool window 13 larger than input 8x8 with padding 2"),
+        ([NET8, CONV, Maxpool(size=3, stride=1, padding=0), Maxpool(size=8, stride=1)],
+         "layer 2: pool window 8 larger than input 6x6 with padding 0"),
+        ([NET8, CONV, Route(layers=(1,))],
+         "layer 1: route references (1,) must point at earlier layers"),
+        ([NET8, CONV, Route(layers=(0, -1))],
+         "layer 1: route references (0, -1) must point at earlier layers"),
+        ([NET8, CONV, DOWN, Route(layers=(0, 1))],
+         "layer 2: route sources disagree on spatial shape: [(4, 8, 8), (4, 4, 4)]"),
+        ([NET8, CONV, Route(layers=())],
+         "layer 1: route sources disagree on spatial shape: []"),
+        ([NET8, Shortcut(from_layer=0)],
+         "layer 0: shortcut from 0 must point at an earlier layer"),
+        ([NET8, CONV, Shortcut(from_layer=-1)],
+         "layer 1: shortcut from -1 must point at an earlier layer"),
+        ([NET8, CONV, DOWN, Shortcut(from_layer=0)],
+         "layer 2: shortcut spatial mismatch (4, 4, 4) vs (4, 8, 8)"),
+        ([NET8, CONV, YOLO1],
+         "layer 1: yolo expects 7 input channels (1 anchors x (5 + 2 classes)) but gets 4"),
+        ([NET8, CONV, NET8],
+         "layer 1: unsupported spec NetParams"),
+    ])
+    def test_rejected_with_its_message(self, specs, message):
+        with pytest.raises(GraphError) as info:
+            build_graph(specs)
+        assert str(info.value) == message
+
     def test_conv_does_not_fit(self):
         big = Convolutional(filters=1, size=9, activation="linear")
         with pytest.raises(GraphError, match="does not"):
@@ -585,17 +624,21 @@ class TestReporting:
         assert len(lines) == 34  # header + 33 layers
         assert "4096 x 13 x 13" in table
         assert "21 x 26 x 26" in lines[-1]
-        assert lines[0].split() == ["idx", "type", "filters", "size/stride", "GFLOP",
-                                    "output"]
-        # layer 0: 2 * 3x3 * 3 channels * 16 filters * 416 * 416
-        assert lines[1].split()[4] == "0.150"
-        gflop = {l.index: float(line.split()[4]) for l, line in
-                 zip(ref_graph_416.layers, lines[1:])
-                 if isinstance(l.spec, Convolutional)}
+        assert lines[0].split() == ["idx", "type", "filters", "size/stride", "params",
+                                    "GFLOP", "output"]
+        # layer 0: 16 * (3x3 * 3 channels) weights + 16 * 4 bias and batch-norm;
+        # 2 * 3x3 * 3 channels * 16 filters * 416 * 416 FLOPs
+        assert lines[1].split()[4:6] == ["496", "0.150"]
+        convs = [(l, line.split()) for l, line in zip(ref_graph_416.layers, lines[1:])
+                 if isinstance(l.spec, Convolutional)]
+        params = {l.index: int(cols[4]) for l, cols in convs}
+        gflop = {l.index: float(cols[5]) for l, cols in convs}
         assert all(gflop[i] == round(layer_flops(ref_graph_416.layers[i]) / 1e9, 3)
                    for i in gflop)
         assert sum(gflop.values()) == pytest.approx(flops(ref_graph_416), abs=0.01)
-        assert "shortcut            1                       64 x 208 x 208" in table
+        assert sum(params.values()) == param_count(ref_graph_416) == 12_455_962
+        assert ("shortcut            1                                  64 x 208 x 208"
+                in table)
 
     def test_param_count_headless(self):
         g = build_graph([NET8, CONV])

@@ -123,6 +123,29 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(a.params.batch_norm.gamma,
                                               b.params.batch_norm.gamma)
 
+    def test_file_order_by_bytes(self):
+        # each value is its position in the file: bias, gamma, mean, var,
+        # weights of the batch-norm layer, then bias, weights of the plain one
+        from littleyolo.config import Convolutional, NetParams
+        from littleyolo.tensor import BatchNorm, ConvParams
+        g = build_graph([NetParams(width=4, height=4, channels=3),
+                         Convolutional(filters=2, batch_normalize=True),
+                         Convolutional(filters=2)])
+        values = np.arange(1, 21, dtype=np.float32)
+        arrays = np.split(values, [2, 4, 6, 8, 14, 16])
+        bias0, gamma, mean, var, weights0, bias1, weights1 = arrays
+        g.layers[0].params = ConvParams(weights=weights0.reshape(2, 3, 1, 1), bias=bias0,
+                                        batch_norm=BatchNorm(gamma, mean, var))
+        g.layers[1].params = ConvParams(weights=weights1.reshape(2, 2, 1, 1), bias=bias1)
+        blob = save_weights(g)
+        assert blob[HEADER_BYTES:] == values.astype("<f4").tobytes()
+        first, second = (l.params for l in load_weights(build_graph_copy(g), blob).layers)
+        bn = first.batch_norm
+        loaded = (first.bias, bn.gamma, bn.mean, bn.var, first.weights, second.bias,
+                  second.weights)
+        assert [a.ravel().tolist() for a in loaded] == [a.tolist() for a in arrays]
+        assert second.batch_norm is None
+
     def test_file_round_trip(self, tiny_populated, tmp_path):
         path = tmp_path / "w.weights"
         size = save_weights_file(tiny_populated, path)
