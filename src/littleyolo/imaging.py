@@ -50,11 +50,11 @@ def decode_ppm(data: bytes) -> np.ndarray:
         raise ImageError(f"only maxval 255 PPMs are supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
     need = width * height * 3
-    pixels = data[pos:pos + need]
-    if len(pixels) != need:
+    if len(data) - pos < need:
         raise ImageError(f"PPM pixel data truncated: expected {need} bytes, "
-                         f"got {len(pixels)}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3).copy()
+                         f"got {max(len(data) - pos, 0)}")
+    # one copy, straight out of data: a writable array the caller owns
+    return np.frombuffer(data, np.uint8, need, pos).reshape(height, width, 3).copy()
 
 
 def encode_ppm(image: np.ndarray) -> bytes:

@@ -12,16 +12,17 @@ Layout (all little-endian):
     so is any non-finite value (conv weights included) and any negative
     variance.
 
-After the header and size checks, all values go into one float32 buffer
-that every layer's arrays view, so a load holds the model once.
+After the header and size checks, every layer's arrays view the values in
+place, read as little-endian float32: a file is mapped read-only, not copied,
+so the loaded parameters are read-only and the file must be replaced by a
+rename, never rewritten in place (save_weights_file does so).
 """
 
 from __future__ import annotations
 
-import io
+import mmap
 import os
 import struct
-import sys
 
 import numpy as np
 
@@ -65,29 +66,47 @@ def expected_file_size(graph) -> int:
     return HEADER_BYTES + 4 * total
 
 
-def save_weights(graph) -> bytes:
-    """Serialize a populated graph's parameters. Inverse of load_weights."""
-    chunks = [struct.pack("<iiiQ", MAJOR, MINOR, REVISION, graph.images_seen)]
+def _chunks(graph):
+    """The weights file as buffers in file order: the header, then each conv
+    layer's arrays as contiguous little-endian float32. Each array must be
+    present and as long as the graph's table says, or WeightsError names
+    the layer and the array."""
+    yield struct.pack("<iiiQ", MAJOR, MINOR, REVISION, graph.images_seen)
     for layer in _conv_layers(graph):
         p = layer.params
         if p is None:
             raise WeightsError(f"layer {layer.index} has no parameters; "
                                "populate the graph before saving")
-        values = {"bias": p.bias, "weights": p.weights,
-                  **(vars(p.batch_norm) if p.batch_norm else {})}
-        chunks += [values[name].astype("<f4").tobytes()
-                   for name, _ in _arrays(layer.spec, layer.in_channels)]
-    return b"".join(chunks)
+        bn = p.batch_norm
+        values = {"bias": p.bias, **({} if bn is None else
+                                     {"gamma": bn.gamma, "mean": bn.mean, "var": bn.var}),
+                  "weights": p.weights}
+        table = _arrays(layer.spec, layer.in_channels)
+        if list(values) != [name for name, _ in table]:
+            raise WeightsError(f"layer {layer.index}: the graph calls for "
+                               f"{', '.join(name for name, _ in table)} but the "
+                               f"params hold {', '.join(values)}")
+        for name, length in table:
+            if np.size(values[name]) != length:
+                raise WeightsError(f"layer {layer.index}: {name} has {np.size(values[name])} "
+                                   f"values but the graph calls for {length}")
+            yield np.ascontiguousarray(values[name], dtype="<f4")
 
 
-def _read_stream(graph, fh, size: int):
-    """Populate graph from binary stream fh of `size` bytes: check the header
-    and size against the graph, then read the values straight into the one
-    float32 buffer the layers view."""
+def save_weights(graph) -> bytes:
+    """Serialize a populated graph's parameters. Inverse of load_weights."""
+    return b"".join(_chunks(graph))
+
+
+def _read_buffer(graph, buf):
+    """Populate graph from buf, a whole weights file's bytes: check the
+    header and size against the graph, then give every layer views of the
+    values in buf itself, read as little-endian float32."""
+    size = len(buf)
     if size < HEADER_BYTES:
         raise WeightsError(f"stream has {size} bytes, shorter than the "
                            f"{HEADER_BYTES}-byte header")
-    major, minor, revision, seen = struct.unpack("<iiiQ", fh.read(HEADER_BYTES))
+    major, minor, revision, seen = struct.unpack_from("<iiiQ", buf)
     if major * 10 + minor < 2:
         raise WeightsError(f"unsupported weights version {major}.{minor} "
                            "(versions below 0.2 use a narrower image counter)")
@@ -95,13 +114,7 @@ def _read_stream(graph, fh, size: int):
     if size != expected:
         raise WeightsError(f"graph calls for {expected} bytes but the stream "
                            f"has {size}")
-    floats = np.empty((expected - HEADER_BYTES) // 4, dtype=FLOAT)
-    got = fh.readinto(floats)
-    if got != floats.nbytes:
-        raise WeightsError(f"read {HEADER_BYTES + got} bytes of {expected}")
-    if sys.byteorder == "big":
-        floats.byteswap(inplace=True)
-    return _populate(graph, floats, seen)
+    return _populate(graph, np.frombuffer(buf, "<f4", offset=HEADER_BYTES), seen)
 
 
 def _views(graph, floats: np.ndarray):
@@ -115,8 +128,8 @@ def _views(graph, floats: np.ndarray):
 
 
 def _populate(graph, floats: np.ndarray, seen: int):
-    """Give each conv layer views into `floats`, the native float32 values
-    after the header, in file order. A non-finite value, or a negative
+    """Give each conv layer views into `floats`, the float32 values after
+    the header, in file order. A non-finite value, or a negative
     variance, raises WeightsError naming the layer and the flat index."""
     for layer, a in _views(graph, floats):
         _check_params(layer.index, a)
@@ -156,9 +169,10 @@ def load_weights(graph, data: bytes):
     The stream must contain exactly the parameters the graph calls for;
     truncated or trailing bytes raise WeightsError naming both counts. A
     non-finite value anywhere, or a negative variance, raises WeightsError
-    naming the layer. The values are copied once, into one float32 buffer.
+    naming the layer. The layers view the values in place, read-only; any
+    bytes-like data other than bytes is copied once.
     """
-    return _read_stream(graph, io.BytesIO(data), len(data))
+    return _read_buffer(graph, bytes(data))
 
 
 def init_random(graph, seed: int):
@@ -182,17 +196,30 @@ def init_random(graph, seed: int):
 
 
 def load_weights_file(graph, path):
-    """load_weights from a file, read straight into the float32 buffer the
-    layers view; a WeightsError names the file first."""
+    """load_weights from a file mapped read-only, so the layers view the page
+    cache and nothing is copied; the mapping lasts while any layer views it.
+    The checks read every value, so every page is read in here, not in the
+    first forward pass. A WeightsError names the file first."""
     with open(path, "rb") as fh:
-        try:
-            return _read_stream(graph, fh, os.fstat(fh.fileno()).st_size)
-        except WeightsError as exc:
-            raise WeightsError(f"{path}: {exc}") from None
+        # mmap rejects an empty file, which then fails the header check
+        buf = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+               if os.fstat(fh.fileno()).st_size else b"")
+    try:
+        return _read_buffer(graph, buf)
+    except WeightsError as exc:
+        raise WeightsError(f"{path}: {exc}") from None
 
 
 def save_weights_file(graph, path) -> int:
-    data = save_weights(graph)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    """Write save_weights(graph) to path one array at a time, through
+    <path>.tmp and a rename: a process that has the old file mapped keeps
+    reading it whole. Returns the byte count."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        try:
+            size = sum(map(fh.write, _chunks(graph)))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    os.replace(tmp, path)
+    return size

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, TINY_CFG,
                       craft_planted_params, write_ppm_image)
-from littleyolo import cli, pipeline, tensor, weights
+from littleyolo import cli, imaging, pipeline, tensor, weights
 from littleyolo import evaluate as eval_mod
 from littleyolo import graph as graph_mod
 from littleyolo.cli import main
@@ -172,6 +172,21 @@ class TestDetect:
         assert code == 1 and out == ""
         assert err == f"error: {wfile}: layer 3: weights[4] is nan (1 non-finite values)\n"
         assert not (tiny_setup["dir"] / "out").exists()
+
+    def test_loaded_graph_survives_a_rewrite_of_its_file(self, capsys, tiny_setup):
+        # the layers view the mapped weights file, and save_weights_file
+        # replaces the file by a rename, so the loaded graph keeps its values
+        specs = lower_to_specs(parse_config(TINY_CFG))
+        g = weights.load_weights_file(build_graph(specs), tiny_setup["weights"])
+        image = imaging.to_chw_float(imaging.read_image(tiny_setup["image"]))
+        before = [pipeline.detection_to_dict(d) for d in pipeline.detect(g, image)]
+        assert len(before) == 1
+        save_weights_file(init_random(build_graph(specs), seed=5), tiny_setup["weights"])
+        assert [pipeline.detection_to_dict(d) for d in pipeline.detect(g, image)] == before
+        code, out, _ = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                               "--weights", tiny_setup["weights"],
+                               "--input", tiny_setup["image"])
+        assert code == 0 and json.loads(out)["detections"] != before
 
     def _image_dir(self, tiny_setup):
         d = tiny_setup["dir"] / "imgs"

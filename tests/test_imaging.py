@@ -42,6 +42,21 @@ class TestPPM:
         with pytest.raises(ImageError, match="bytes"):
             decode_ppm(data[:-1])
 
+    @pytest.mark.parametrize("cut,got", [(1, 239), (240, 0), (241, 0)])
+    def test_truncated_pixels_count_the_bytes(self, cut, got):
+        # a cut of 241 also drops the whitespace byte after maxval
+        data = encode_ppm(checker())
+        with pytest.raises(ImageError) as ei:
+            decode_ppm(data[:-cut])
+        assert str(ei.value) == f"PPM pixel data truncated: expected 240 bytes, got {got}"
+
+    def test_decode_returns_a_writable_copy(self):
+        data = bytearray(encode_ppm(checker()) + b"trailing")
+        img = decode_ppm(data)
+        assert img.flags.writeable and img.flags.owndata
+        data[-248:] = bytes(248)
+        np.testing.assert_array_equal(img, checker())
+
     def test_encode_requires_hw3_uint8(self):
         with pytest.raises(ImageError):
             encode_ppm(np.zeros((4, 4), dtype=np.uint8))

@@ -336,16 +336,22 @@ class TestBadWeights:
         assert g2.layers[0].params.weights.reshape(-1)[5] == np.float32(value)
 
 
+def _param_arrays(graph):
+    """Every conv layer's loaded arrays, in graph order."""
+    return [a for layer in graph.layers if layer.params is not None
+            for a in (layer.params.weights, layer.params.bias,
+                      *(() if layer.params.batch_norm is None else
+                        (layer.params.batch_norm.gamma, layer.params.batch_norm.mean,
+                         layer.params.batch_norm.var)))]
+
+
 class TestOneBuffer:
     def test_layers_view_one_buffer(self, bn_populated, tmp_path):
         path = tmp_path / "bn.weights"
         save_weights_file(bn_populated, path)
         for g in (bn_populated, load_weights_file(build_graph_copy(bn_populated), path),
                   load_weights(build_graph_copy(bn_populated), path.read_bytes())):
-            arrays = [a for layer in g.layers if layer.params is not None
-                      for a in (layer.params.weights, layer.params.bias,
-                                *(() if layer.params.batch_norm is None else
-                                  (layer.params.batch_norm.gamma, layer.params.batch_norm.var)))]
+            arrays = _param_arrays(g)
             assert len({id(a.base) for a in arrays}) == 1
             assert all(a.dtype == np.float32 for a in arrays)
 
@@ -360,18 +366,15 @@ class TestOneBuffer:
         np.testing.assert_array_equal(np.concatenate(weights), want.astype("<f4"))
 
     def test_load_weights_file_memory(self, ref_graph_randomized_640, tmp_path):
-        # the 49.8 MB model once; holding the file's bytes while copying
-        # every slice peaked at 99.7 MB
-        path = tmp_path / "ref640.weights"
-        save_weights_file(ref_graph_randomized_640, path)
-        g = build_graph(load_config(reference_config_path(640)))
-        tracemalloc.start()
-        try:
-            load_weights_file(g, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 55e6, f"load_weights_file peaked at {peak / 1e6:.1f} MB"
+        # the layers view the mapped file; reading it into one float32
+        # buffer peaked at 49.9 MB, and holding the file's bytes while
+        # copying every slice at 99.7 MB
+        peak = _load_file_peak(ref_graph_randomized_640, 640, tmp_path)
+        assert peak <= 1e6, f"load_weights_file peaked at {peak / 1e6:.1f} MB"
+
+    def test_load_weights_file_memory_416(self, ref_graph_randomized, tmp_path):
+        peak = _load_file_peak(ref_graph_randomized, 416, tmp_path)
+        assert peak <= 1e6, f"load_weights_file peaked at {peak / 1e6:.1f} MB"
 
     def test_init_random_memory(self, ref_specs_416):
         # the buffer plus chunk workspaces; holding the float64 draws, their
@@ -384,6 +387,114 @@ class TestOneBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 70e6, f"init_random peaked at {peak / 1e6:.1f} MB"
+
+
+def _load_file_peak(graph, size, tmp_path):
+    """tracemalloc peak of load_weights_file on graph's saved weights."""
+    path = tmp_path / f"ref{size}.weights"
+    save_weights_file(graph, path)
+    g = build_graph(load_config(reference_config_path(size)))
+    tracemalloc.start()
+    try:
+        load_weights_file(g, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMapped:
+    @pytest.mark.parametrize("size", [416, 640])
+    def test_mapped_and_bytes_loads_equal_init_random(self, size, ref_graph_randomized,
+                                                      ref_graph_randomized_640, tmp_path):
+        ref = {416: ref_graph_randomized, 640: ref_graph_randomized_640}[size]
+        path = tmp_path / "ref.weights"
+        save_weights_file(ref, path)
+        want = _param_arrays(ref)
+        for load, source in ((load_weights_file, path), (load_weights, path.read_bytes())):
+            got = _param_arrays(load(build_graph(load_config(reference_config_path(size))),
+                                     source))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == np.float32 and not a.flags.writeable
+                np.testing.assert_array_equal(a, b)
+
+    def test_bytearray_is_copied_once(self, bn_populated):
+        # only bytes are viewed in place: the layers must not see later
+        # writes into a mutable buffer
+        data = bytearray(save_weights(bn_populated))
+        g = load_weights(build_graph_copy(bn_populated), data)
+        data[HEADER_BYTES:] = bytes(len(data) - HEADER_BYTES)
+        assert save_weights(g) == save_weights(bn_populated)
+
+    @pytest.mark.parametrize("cut,message", [
+        (lambda blob: b"", "stream has 0 bytes, shorter than the 20-byte header"),
+        (lambda blob: blob[:10], "stream has 10 bytes, shorter than the 20-byte header"),
+        (lambda blob: blob[:-4], "graph calls for {n} bytes but the stream has {short}"),
+        (lambda blob: blob + b"\x00", "graph calls for {n} bytes but the stream has {long}"),
+    ], ids=["empty", "short-header", "truncated", "trailing-byte"])
+    def test_file_errors_keep_their_texts(self, bn_populated, tmp_path, cut, message):
+        blob = save_weights(bn_populated)
+        path = tmp_path / "bad.weights"
+        path.write_bytes(cut(blob))
+        n = len(blob)
+        with pytest.raises(WeightsError) as err:
+            load_weights_file(build_graph_copy(bn_populated), path)
+        assert str(err.value) == f"{path}: " + message.format(n=n, short=n - 4, long=n + 1)
+
+    def test_rewriting_the_file_keeps_loaded_values(self, bn_populated, tmp_path):
+        # save_weights_file replaces the file by a rename, so the mapping
+        # the loaded layers view keeps the old values
+        path = tmp_path / "bn.weights"
+        save_weights_file(bn_populated, path)
+        g = load_weights_file(build_graph_copy(bn_populated), path)
+        other = init_random(build_graph_copy(bn_populated), seed=4)
+        save_weights_file(other, path)
+        assert save_weights(g) == save_weights(bn_populated)
+        assert path.read_bytes() == save_weights(other)
+        assert [p.name for p in tmp_path.iterdir()] == ["bn.weights"]
+
+
+def _one_conv(batch_normalize, in_channels=3, batch_norm=None):
+    """A one-layer graph, a 1x1 conv of 4 filters over 3 input channels, with
+    zero params for in_channels input channels and the given batch_norm."""
+    from littleyolo.config import Convolutional, NetParams
+    from littleyolo.tensor import ConvParams
+    g = build_graph([NetParams(width=4, height=4, channels=3),
+                     Convolutional(filters=4, batch_normalize=batch_normalize)])
+    g.layers[0].params = ConvParams(weights=np.zeros((4, in_channels, 1, 1), np.float32),
+                                    bias=np.zeros(4, np.float32), batch_norm=batch_norm)
+    return g
+
+
+class TestSaveChecks:
+    def test_missing_batch_norm_names_layer_and_array(self):
+        with pytest.raises(WeightsError, match=r"^layer 0: the graph calls for bias, gamma, "
+                                               r"mean, var, weights but the params hold "
+                                               r"bias, weights$"):
+            save_weights(_one_conv(True))
+
+    def test_unexpected_batch_norm_names_layer(self):
+        from littleyolo.tensor import BatchNorm
+        ones = np.ones(4, np.float32)
+        with pytest.raises(WeightsError, match=r"^layer 0: the graph calls for bias, weights "
+                                               r"but the params hold bias, gamma, mean, var, "
+                                               r"weights$"):
+            save_weights(_one_conv(False, batch_norm=BatchNorm(ones, ones, ones)))
+
+    def test_wrong_length_names_layer_and_array(self):
+        # weights for 5 input channels where the graph has 3
+        with pytest.raises(WeightsError, match=r"^layer 0: weights has 20 values but the "
+                                               r"graph calls for 12$"):
+            save_weights(_one_conv(False, in_channels=5))
+
+    def test_failed_file_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "one.weights"
+        save_weights_file(_one_conv(False), path)
+        before = path.read_bytes()
+        with pytest.raises(WeightsError, match="weights has 20 values"):
+            save_weights_file(_one_conv(False, in_channels=5), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["one.weights"]
 
 
 class TestSizes:
