@@ -50,10 +50,14 @@ def _read_names(path) -> tuple[str, ...]:
 
 def _json_dump(obj, path):
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 # --------------------------------------------------------------------- detect
@@ -61,10 +65,13 @@ def _json_dump(obj, path):
 def _detect_one(g, image_path, args, names, out_dir=None):
     """Detect on one image and return its result document. Given out_dir,
     also write <stem>.json there and, with --annotate, <stem>.annotated.ppm."""
-    image = imaging.read_image(image_path)
-    h, w = image.shape[:2]
+    frame = [imaging.read_image(image_path)]
+    h, w = frame[0].shape[:2]
+    # Only --annotate reads the frame after detect; otherwise detect gets the
+    # only reference to it (see pipeline.detect), and frees it once letterboxed.
+    image = frame[0] if args.annotate else None
     try:
-        dets = pipeline.detect(g, image.transpose(2, 0, 1),
+        dets = pipeline.detect(g, frame.pop().transpose(2, 0, 1),
                                conf_threshold=args.conf, nms_threshold=args.nms,
                                class_names=names)
     except ValueError as exc:  # read errors name the file already
@@ -227,6 +234,10 @@ def cmd_info(args) -> int:
     print(f"\nlayers: {len(g.layers)}   params: {params:,}   "
           f"weights file: {size:,} bytes ({size / 1e6:.2f} MB)   "
           f"flops: {graph_mod.flops(g):.3f} B")
+    live = graph_mod.live_bytes(g)
+    peak = max(range(len(live)), key=live.__getitem__)
+    print(f"live maps: at most {live[peak] / 1e6:.2f} MB, while layer {peak} runs "
+          "(conv2d's scratch buffers not counted)")
     threads = tensor.blas_thread_count()
     print(f"blas: {_blas_name()}, " + (f"{threads} threads" if threads is not None
                                        else "thread control unavailable"))

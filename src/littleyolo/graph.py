@@ -15,6 +15,7 @@ the row the conv would compute there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,20 +161,30 @@ def _output_repeats(layer: Layer, masks: list[np.ndarray]) -> np.ndarray:
     return np.logical_and.reduce(masks)
 
 
+def _adds_in_place(layer: Layer) -> bool:
+    """A shortcut adds into current when nothing reads current later: it is
+    not the caller's input, not the skip source, and last read here."""
+    cur, skip = layer.inputs
+    return cur in layer.frees and cur not in (NET_INPUT, skip)
+
+
 def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     """Run the network; returns {yolo layer index: raw head output}.
 
     Raw head outputs have shape (len(mask)*(5+classes), grid_h, grid_w) and
-    are passed through unchanged by the yolo layers.
+    are passed through unchanged by the yolo layers. forward never writes
+    into x, and holds it only until the last layer that reads it has run: a
+    caller that passes its only reference (a temporary; on CPython >= 3.11 a
+    call moves its arguments into the callee) lets it be freed there.
     """
     if x.shape != graph.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match network input "
                          f"{graph.input_shape}")
     if not graph.is_populated():
         raise GraphError("graph has unpopulated conv layers; load or init weights")
-    x = np.ascontiguousarray(x, dtype=FLOAT)
-    live = {NET_INPUT: x}
-    repeats = {NET_INPUT: repeated_rows(x)}
+    live = {NET_INPUT: np.ascontiguousarray(x, dtype=FLOAT)}
+    del x
+    repeats = {NET_INPUT: repeated_rows(live[NET_INPUT])}
     heads: dict[int, np.ndarray] = {}
     for layer in graph.layers:
         spec = layer.spec
@@ -188,13 +199,9 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
         elif isinstance(spec, Route):
             out = tensor.concat_channels(src)
         elif isinstance(spec, Shortcut):
-            # add into current when nothing reads it later: not the caller's
-            # input, not the skip source, and last read here
-            cur, skip = layer.inputs
-            inplace = cur in layer.frees and cur not in (NET_INPUT, skip)
-            out = tensor.activate(tensor.shortcut_add(src[0], src[1],
-                                                      out=src[0] if inplace else None),
-                                  spec.activation)
+            out = tensor.activate(
+                tensor.shortcut_add(*src, out=src[0] if _adds_in_place(layer) else None),
+                spec.activation)
         elif isinstance(spec, Upsample):
             out = tensor.upsample_nearest(src[0], spec.stride)
         else:  # Yolo: passthrough
@@ -234,13 +241,36 @@ def flops(graph: NetworkGraph) -> float:
                if isinstance(l.spec, Convolutional)) / 1e9
 
 
+def live_bytes(graph: NetworkGraph) -> list[int]:
+    """Bytes of the float32 maps forward holds while each layer runs: the
+    layer's output plus the input and every earlier output not yet freed.
+
+    An output that is its input's array (a yolo passthrough, a shortcut added
+    in place) takes over that array's bytes. conv2d's column, product and
+    weight buffers are not counted.
+    """
+    itemsize = np.dtype(FLOAT).itemsize
+    size = {NET_INPUT: math.prod(graph.input_shape) * itemsize}
+    held = size[NET_INPUT]
+    live = []
+    for l in graph.layers:
+        if isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l):
+            size[l.index] = size.pop(l.inputs[0])
+        else:
+            size[l.index] = math.prod(l.out_shape) * itemsize
+            held += size[l.index]
+        live.append(held)
+        held -= sum(size.pop(r, 0) for r in l.frees)
+    return live
+
+
 def layer_table(graph: NetworkGraph) -> str:
     """Human-readable per-layer table: index, type, filters, size/stride,
     params and GFLOP (conv layers, as param_count and flops() count them),
-    output."""
+    live MB (live_bytes / 1e6), output."""
     rows = [f"{'idx':>3}  {'type':<13} {'filters':>7}  {'size/stride':>11}  "
-            f"{'params':>9}  {'GFLOP':>6}  output"]
-    for l in graph.layers:
+            f"{'params':>9}  {'GFLOP':>6}  {'live MB':>7}  output"]
+    for l, held in zip(graph.layers, live_bytes(graph)):
         spec = l.spec
         name = type(spec).__name__.lower()
         filt = size = params = gflop = ""
@@ -259,5 +289,5 @@ def layer_table(graph: NetworkGraph) -> str:
             filt = str(spec.from_layer)
         c, h, w = l.out_shape
         rows.append(f"{l.index:>3}  {name:<13} {filt:>7}  {size:>11}  {params:>9}  "
-                    f"{gflop:>6}  {c} x {h} x {w}")
+                    f"{gflop:>6}  {held / 1e6:>7.2f}  {c} x {h} x {w}")
     return "\n".join(rows)

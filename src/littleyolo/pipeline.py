@@ -272,6 +272,11 @@ def detect(graph: NetworkGraph, image: np.ndarray,
     ValueError: its NaN confidences would otherwise fail every threshold and
     give no detections without a word; numpy's overflow warnings on the way
     are silenced.
+
+    detect lets go of image once it is letterboxed and hands forward its
+    only reference to the canvas, so each is freed at its last read. On
+    CPython >= 3.11 a call moves its arguments into the callee, so a caller
+    that passes image as a temporary lets the frame go there too.
     """
     heads = graph.yolo_layers
     if not heads:
@@ -282,9 +287,11 @@ def detect(graph: NetworkGraph, image: np.ndarray,
     names = class_names_for(classes, class_names)
 
     _, net_h, net_w = graph.input_shape
-    tensor_in, transform = letterbox(image, net_w, net_h)
+    boxed = list(letterbox(image, net_w, net_h))
+    del image
+    transform = boxed.pop()
     with np.errstate(over="ignore", invalid="ignore"):
-        raw_heads = forward(graph, tensor_in)
+        raw_heads = forward(graph, boxed.pop())
 
     candidates: list[Detection] = []
     for layer in heads:

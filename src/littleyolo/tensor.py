@@ -180,10 +180,6 @@ def conv2d(x: np.ndarray, params: ConvParams,
     shift = shift[:, None]
 
     rows = _band_rows(c_in, k, oh, ow)
-    # With padding, each band's input rows are copied into one zero-bordered
-    # buffer; without, windows read x itself. Bands go down the image, so
-    # rows above it are never written; rows below it are zeroed per band.
-    band = np.zeros((c_in, (rows - 1) * s + k, w + 2 * p), dtype=x.dtype) if p else None
     col_buf = np.empty(depth * rows * ow, dtype=np.float64)
     prod_buf = np.empty(n * rows * ow, dtype=np.float64)
     out = np.empty((n, oh, ow), dtype=FLOAT)
@@ -193,21 +189,24 @@ def conv2d(x: np.ndarray, params: ConvParams,
     # Rows switch between computed and copied at these edges; row 0 is computed.
     edges = [0, *(np.flatnonzero(copied[1:] != copied[:-1]) + 1).tolist(), oh]
     runs = list(zip(edges, edges[1:]))
+    col_spans = [_inside(kx - p, s, ow, w) for kx in range(k)]
     for y0, r in ((y, min(rows, b - y)) for a, b in runs if not copied[a]
                   for y in range(a, b, rows)):
-        top = y0 * s - p  # image row under the band's first window row
-        src = x
-        if p:
-            lo, hi = max(top, 0), min(top + (r - 1) * s + k, h)
-            band[:, hi - top:] = 0
-            band[:, lo - top:hi - top, p:p + w] = x[:, lo:hi]
-            src, top = band, 0
-        # Column rows are (channel, ky, kx), columns the band's pixels; each
-        # of the k*k shifted windows is copied, widened to float64, straight in.
+        # Column rows are (channel, ky, kx), columns the band's pixels. Each
+        # of the k*k shifted windows is copied from x, widened to float64,
+        # straight in; where it falls in the zero border, zeros are written.
         cols = col_buf[:depth * r * ow].reshape(c_in, k, k, r, ow)
         for ky in range(k):
+            top = y0 * s - p + ky  # image row under the tap's first window
+            r0, r1 = _inside(top, s, r, h)
             for kx in range(k):
-                cols[:, ky, kx] = src[:, top + ky:top + ky + r * s:s, kx:kx + ow * s:s]
+                c0, c1 = col_spans[kx]
+                tap = cols[:, ky, kx]
+                if r0 or r1 < r or c0 or c1 < ow:
+                    tap[:, :r0] = tap[:, r1:] = 0
+                    tap[:, r0:r1, :c0] = tap[:, r0:r1, c1:] = 0
+                y, xs = top + r0 * s, kx - p + c0 * s
+                tap[:, r0:r1, c0:c1] = x[:, y:y + (r1 - r0) * s:s, xs:xs + (c1 - c0) * s:s]
         cols = cols.reshape(depth, r * ow)
         prod = prod_buf[:n * r * ow].reshape(n, r * ow)
         for f0 in range(0, n, block):
@@ -226,6 +225,13 @@ def conv2d(x: np.ndarray, params: ConvParams,
         if copied[a]:
             out[:, a:b] = out[:, a - 1:a].copy()
     return out
+
+
+def _inside(first: int, stride: int, count: int, extent: int) -> tuple[int, int]:
+    """The span [a, b) of window positions j < count whose tap, at image
+    index first + j * stride, lies inside [0, extent)."""
+    a = min(count, max(0, -(first // stride)))
+    return a, max(a, min(count, (extent - 1 - first) // stride + 1))
 
 
 def _band_rows(c_in: int, k: int, oh: int, ow: int) -> int:

@@ -1,4 +1,7 @@
+import errno
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +62,14 @@ class TestInfo:
         assert "49.82 MB" in out
         assert "flops: 15.279 B" in out
         assert "4096 x 13 x 13" in out
+        # layer 0's 16x416x416 output and layer 1's 32x208x208 one
+        assert "live maps: at most 16.61 MB, while layer 1 runs" in out
 
     def test_640_variant_grids(self, capsys):
         code, out, _ = run_cli(capsys, "info", "--size", "640")
         assert code == 0
         assert "21 x 20 x 20" in out and "21 x 40 x 40" in out
+        assert "live maps: at most 39.32 MB, while layer 1 runs" in out
 
     def test_weights_report(self, capsys, tiny_setup):
         code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"],
@@ -232,6 +238,52 @@ class TestDetect:
             r["output"] = Path(r["output"]).name
         assert idx[0] == idx[1]
 
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                        reason="before CPython 3.11 the caller holds a call's "
+                               "arguments until the call returns")
+    def test_frame_freed_before_the_forward_pass(self, capsys, tiny_setup, monkeypatch):
+        d = self._image_dir(tiny_setup)
+        frames, alive = [], []
+        read_image, forward = imaging.read_image, pipeline.forward
+
+        def reading(path):
+            frame = read_image(path)
+            frames.append(weakref.ref(frame))
+            return frame
+
+        def forwarding(graph, x):
+            alive.append(sum(ref() is not None for ref in frames))
+            return forward(graph, x)
+        monkeypatch.setattr(imaging, "read_image", reading)
+        monkeypatch.setattr(pipeline, "forward", forwarding)
+        code, _, _ = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                             "--weights", tiny_setup["weights"],
+                             "--input", str(d), "--output", str(tiny_setup["dir"] / "o"))
+        assert code == 0 and len(frames) == 3
+        assert alive == [0, 0, 0]
+
+    def test_annotate_keeps_the_frame(self, capsys, tiny_setup):
+        # the annotated image and JSON are those of detect and annotate
+        # called on one frame the caller keeps
+        d = self._image_dir(tiny_setup)
+        out_dir = tiny_setup["dir"] / "annotated"
+        code, _, _ = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                             "--weights", tiny_setup["weights"], "--input", str(d),
+                             "--output", str(out_dir), "--annotate")
+        assert code == 0
+        g = build_graph(load_config(tiny_setup["cfg"]))
+        weights.load_weights_file(g, tiny_setup["weights"])
+        for image in sorted(d.iterdir()):
+            frame = imaging.read_image(image)
+            dets = pipeline.detect(g, frame.transpose(2, 0, 1))
+            doc = {"image": str(image), "width": frame.shape[1], "height": frame.shape[0],
+                   "detections": [pipeline.detection_to_dict(det) for det in dets]}
+            assert (out_dir / f"{image.stem}.json").read_text() == \
+                json.dumps(doc, indent=2) + "\n"
+            assert (out_dir / f"{image.stem}.annotated.ppm").read_bytes() == \
+                encode_ppm(imaging.annotate(frame, dets))
+        assert json.loads((out_dir / "a_hot.json").read_text())["detections"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, capsys, tiny_setup, workers):
@@ -960,6 +1012,26 @@ class TestBench:
                              "--input", tiny_setup["image"], "--iters", "2")
         assert code == 0
         assert len(calls) == 3  # warmup + 2 timed
+
+
+class TestJsonDump:
+    @pytest.mark.parametrize("fail", ["unserializable", "disk full"])
+    def test_failed_write_leaves_no_tmp(self, tmp_path, monkeypatch, fail):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        doc = {"x": 1}
+        if fail == "unserializable":
+            doc, error = {"x": object()}, TypeError
+        else:
+            def dump(obj, fh, **kwargs):
+                fh.write('{"x": ')
+                raise OSError(errno.ENOSPC, "No space left on device")
+            monkeypatch.setattr(cli.json, "dump", dump)
+            error = OSError
+        with pytest.raises(error):
+            cli._json_dump(doc, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+        assert path.read_text() == "old\n"
 
 
 class TestParser:

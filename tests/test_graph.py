@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from littleyolo.config import (Convolutional, Maxpool, NetParams, Route,
                                Shortcut, Upsample, Yolo, load_config,
                                reference_config_path)
 from littleyolo.graph import (GraphError, build_graph, flops, forward,
-                              layer_flops, layer_table, model_bytes, param_count)
+                              layer_flops, layer_table, live_bytes, model_bytes,
+                              param_count)
 from littleyolo.tensor import ShapeError, shortcut_add
 from littleyolo.weights import init_random
 from oracles import forward_seed, layer_outputs_seed
@@ -592,7 +595,8 @@ class TestLiveness:
     def test_reference_forward_peak_memory(self, ref_graph_randomized):
         # Building layer 2's whole 99.7 MB float64 column matrix peaked at
         # 127.5 MB, and casting layer 16's weights whole at 47.6 MB; row
-        # bands and filter blocks keep the pass at ~29 MB.
+        # bands and filter blocks keep the pass at ~27 MB (~29 MB with a
+        # padded copy of each band's input rows).
         peak = traced_forward_peak(ref_graph_randomized)
         assert peak <= 32e6, f"forward peaked at {peak / 1e6:.1f} MB"
 
@@ -600,9 +604,27 @@ class TestLiveness:
         # Layer 2's whole column matrix is 235.9 MB here (peak 301.6 MB). A
         # padded copy of layer 1's 26.2 MB input, and full-size temporaries
         # of leaky and the shortcut, took the banded pass to 75.7 MB; ~51 MB
-        # without them.
+        # without them, ~49.5 MB without a padded copy of each band's rows.
         peak = traced_forward_peak(ref_graph_randomized_640)
         assert peak <= 55e6, f"forward peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                        reason="before CPython 3.11 the caller holds a call's "
+                               "arguments until the call returns")
+    def test_input_handed_over_is_freed_after_its_last_reader(self, tiny_graph,
+                                                              monkeypatch):
+        # layer 0 is the input's only reader; layer 1 is a conv
+        init_random(tiny_graph, seed=0)
+        handed = [np.full(tiny_graph.input_shape, 0.5, np.float32)]
+        ref = weakref.ref(handed[0])
+        alive, conv2d = [], tensor.conv2d
+
+        def watched(x, params, repeats=None):
+            alive.append(ref() is not None)
+            return conv2d(x, params, repeats)
+        monkeypatch.setattr(tensor, "conv2d", watched)
+        forward(tiny_graph, handed.pop())
+        assert alive[:2] == [True, False]
 
 
 def traced_forward_peak(graph):
@@ -625,7 +647,7 @@ class TestReporting:
         assert "4096 x 13 x 13" in table
         assert "21 x 26 x 26" in lines[-1]
         assert lines[0].split() == ["idx", "type", "filters", "size/stride", "params",
-                                    "GFLOP", "output"]
+                                    "GFLOP", "live", "MB", "output"]
         # layer 0: 16 * (3x3 * 3 channels) weights + 16 * 4 bias and batch-norm;
         # 2 * 3x3 * 3 channels * 16 filters * 416 * 416 FLOPs
         assert lines[1].split()[4:6] == ["496", "0.150"]
@@ -637,8 +659,33 @@ class TestReporting:
                    for i in gflop)
         assert sum(gflop.values()) == pytest.approx(flops(ref_graph_416), abs=0.01)
         assert sum(params.values()) == param_count(ref_graph_416) == 12_455_962
-        assert ("shortcut            1                                  64 x 208 x 208"
+        assert ("shortcut            1                                    16.61  64 x 208 x 208"
                 in table)
+        # live MB is live_bytes; layer 0 holds the 3x416x416 input and its own
+        # 16x416x416 output, layer 1 that output and its 32x208x208 one
+        live = [float(line.split()[-6]) for line in lines[1:]]
+        assert live == [round(b / 1e6, 2) for b in live_bytes(ref_graph_416)]
+        assert live[:2] == [round((3 + 16) * 416 * 416 * 4 / 1e6, 2),
+                            round((16 * 416 * 416 + 32 * 208 * 208) * 4 / 1e6, 2)]
+
+    def test_live_bytes_hand_count(self, tiny_graph):
+        # TINY_CFG on a 3x32x32 input, 4 bytes a value: convs to 1x16x16,
+        # 1x8x8, 1x4x4 and 14x4x4; yolo 4 passes 3 through; route 5 copies
+        # 2 (its last reader); upsample 6 to 1x8x8; conv 7 to 14x8x8; yolo 8.
+        # The yolo heads take over their inputs' bytes and are never freed.
+        inp, c0, c1, c2, c3 = 3 * 32 * 32 * 4, 16 * 16 * 4, 8 * 8 * 4, 4 * 4 * 4, 14 * 16 * 4
+        up, c7 = 8 * 8 * 4, 14 * 8 * 8 * 4
+        assert live_bytes(tiny_graph) == [
+            inp + c0,          # 0 reads the input, last
+            c0 + c1,           # 1 frees 0
+            c1 + c2,           # 2 frees 1
+            c2 + c3,           # 3; 2 stays for route 5
+            c2 + c3,           # 4 takes over 3
+            c2 + c3 + c2,      # 5 copies 2 and frees it
+            c3 + c2 + up,      # 6 frees 5
+            c3 + up + c7,      # 7 frees 6
+            c3 + c7,           # 8 takes over 7
+        ]
 
     def test_param_count_headless(self):
         g = build_graph([NET8, CONV])

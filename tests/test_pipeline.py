@@ -430,6 +430,19 @@ class TestDetect:
         assert detect(tiny_graph, frame.transpose(2, 0, 1), conf_threshold=0.1) == \
             detect(tiny_graph, to_chw_float(frame), conf_threshold=0.1)
 
+    def test_memory_416(self, ref_graph_randomized):
+        # ~27.0 MB: the forward pass's maps and conv buffers. Keeping the
+        # 2.1 MB canvas through the forward pass, and copying layer 1's
+        # padded input rows into a 1.9 MB band, took it to 31.0 MB.
+        frame = np.random.default_rng(3).integers(0, 256, (480, 640, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            detect(ref_graph_randomized, frame.transpose(2, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e6, f"detect peaked at {peak / 1e6:.1f} MB"
+
     def test_nan_in_a_head_raises(self, planted_tiny):
         # NaN confidences fail every threshold, which would read as an
         # empty image

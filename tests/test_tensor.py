@@ -192,6 +192,23 @@ class TestBandRows:
                 got = conv2d(x, p)
             assert np.array_equal(got, conv2d_seed(x, p))
 
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2), (2, 3)])
+    def test_taps_wholly_in_the_border(self, k, stride):
+        # With padding == size, the first and last output rows and columns
+        # read only border, so in 1-row bands whole taps lie outside the
+        # image; each tap's border part is written as zeros.
+        rng = np.random.default_rng(k * 10 + stride)
+        x = rng.standard_normal((2, 5, 7)).astype(np.float32)
+        p = make_conv(rng.standard_normal((3, 2, k, k)), rng.standard_normal(3),
+                      stride, k)
+        with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
+                mock.patch.object(tensor, "BAND_BYTES", 1):
+            assert tensor._band_rows(2, k, 1, 1) == 1
+            got = conv2d(x, p)
+        assert got.tobytes() == conv2d_seed(x, p).tobytes()
+        np.testing.assert_array_equal(got[:, 0], np.broadcast_to(p.bias[:, None],
+                                                                  got[:, 0].shape))
+
 
 def plant_runs(x, runs):
     """x with each (start, length) run of rows set equal to row start."""
