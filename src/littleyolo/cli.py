@@ -235,9 +235,10 @@ def cmd_info(args) -> int:
           f"weights file: {size:,} bytes ({size / 1e6:.2f} MB)   "
           f"flops: {graph_mod.flops(g):.3f} B")
     live = graph_mod.live_bytes(g)
-    peak = max(range(len(live)), key=live.__getitem__)
-    print(f"live maps: at most {live[peak] / 1e6:.2f} MB, while layer {peak} runs "
-          "(conv2d's scratch buffers not counted)")
+    total = [a + b for a, b in zip(live, graph_mod.scratch_bytes(g))]
+    maps, peak = (max(range(len(v)), key=v.__getitem__) for v in (live, total))
+    print(f"live maps: at most {live[maps] / 1e6:.2f} MB, while layer {maps} runs; "
+          f"with conv2d's scratch, {total[peak] / 1e6:.2f} MB, while layer {peak} runs")
     threads = tensor.blas_thread_count()
     print(f"blas: {_blas_name()}, " + (f"{threads} threads" if threads is not None
                                        else "thread control unavailable"))

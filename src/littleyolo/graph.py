@@ -11,6 +11,15 @@ repeat mask (see tensor) to its readers, so conv2d computes each run of
 repeated rows once. Only whole rows count: the pad columns of a portrait
 frame are not skipped. The heads do not change, as each copied row equals
 the row the conv would compute there.
+
+forward streams a stem: the conv and shortcut layers from layer 0 on whose
+maps hold at least BAND_BYTES each (layers 0-3 at 640, layer 0 at 416), up
+to the first conv after them, their consumer. Each step makes the
+consumer's next band of rows; each streamed layer makes just the rows the
+step needs, into a fixed buffer of the rows its readers have yet to read,
+so no streamed map is held whole. perfbench names a traced conv span's layer by
+its input shape, so the slab calls of a streamed layer's readers show as
+layer -1 (L-1) in its per-conv table.
 """
 
 from __future__ import annotations
@@ -168,14 +177,114 @@ def _adds_in_place(layer: Layer) -> bool:
     return cur in layer.frees and cur not in (NET_INPUT, skip)
 
 
+def _streams(layer: Layer) -> bool:
+    """The stem's size rule: a map of at least BAND_BYTES."""
+    return math.prod(layer.out_shape) * np.dtype(FLOAT).itemsize >= tensor.BAND_BYTES
+
+
+def _stem(graph: NetworkGraph) -> int:
+    """How many layers from layer 0 on forward streams (0: none): the run of
+    conv and shortcut layers that _streams takes, cut back until the next
+    layer is a conv and no later layer reads inside the run."""
+    layers = graph.layers
+    m = next((l.index for l in layers if not (
+        isinstance(l.spec, (Convolutional, Shortcut)) and _streams(l))), len(layers))
+    last = {ref: l.index for l in layers for ref in l.inputs}
+    while m and (m == len(layers) or not isinstance(layers[m].spec, Convolutional)
+                 or max(last.get(i, m + 1) for i in range(m)) > m):
+        m -= 1
+    return m
+
+
+def _stem_plan(graph: NetworkGraph, m: int):
+    """(steps, store, shapes) of a stem of m streamed layers and its consumer,
+    layer m. Step t makes the consumer's next band of rows (its
+    tensor._band_rows); steps[t] is the rows of each of layers 0..m made by
+    its end, and the first row each buffer keeps during it, the lowest that
+    a reader has yet to read. Layer i writes into buffer store[i]: its own,
+    or its current's for a shortcut that adds in place. shapes[b] is buffer
+    b's (channels, rows, width)."""
+    layers = graph.layers[:m + 1]
+    store = {NET_INPUT: NET_INPUT}
+    for l in layers[:m]:
+        in_place = isinstance(l.spec, Shortcut) and _adds_in_place(l)
+        store[l.index] = store[l.inputs[0]] if in_place else l.index
+    readers = {b: [r for r in layers for j in r.inputs if store[j] == b]
+               for b in range(m) if store[b] == b}
+    rows = dict.fromkeys(readers, 0)
+    # window size, stride and padding; a shortcut reads row y for its row y
+    geo = [(l.spec.size, l.spec.stride, l.spec.padding)
+           if isinstance(l.spec, Convolutional) else (1, 1, 0) for l in layers]
+    oh = layers[m].out_shape[1]
+    band = tensor._band_rows(layers[m].in_channels, geo[m][0], oh, layers[m].out_shape[2])
+    steps, done = [], [0] * (m + 1)
+    for end in range(band, oh + band, band):
+        need = [0] * m + [min(end, oh)]
+        for l in reversed(layers):
+            k, s, p = geo[l.index]
+            for ref in l.inputs:
+                if ref != NET_INPUT and need[l.index]:
+                    need[ref] = max(need[ref], min(layers[ref].out_shape[1],
+                                                   (need[l.index] - 1) * s - p + k))
+        lows = {b: min([done[b]] + [max(0, done[r.index] * geo[r.index][1] - geo[r.index][2])
+                                    for r in rs]) for b, rs in readers.items()}
+        rows = {b: max(rows[b], need[b] - lows[b]) for b in rows}
+        steps.append((need, lows))
+        done = need
+    shapes = {b: (layers[b].out_shape[0], rows[b], layers[b].out_shape[2]) for b in rows}
+    return steps, store, shapes
+
+
+def _run_stem(graph: NetworkGraph, m: int, x: np.ndarray,
+              repeats: dict[int, np.ndarray]) -> np.ndarray:
+    """Layer m's output, made from x by streaming layers 0..m-1 (_stem_plan).
+
+    Each streamed map lives in a fixed buffer of the rows its readers still
+    need; kept rows move to the front before new rows are written after them.
+    """
+    layers = graph.layers[:m + 1]
+    steps, store, shapes = _stem_plan(graph, m)
+    bufs = {NET_INPUT: x, **{b: np.empty(shape, FLOAT) for b, shape in shapes.items()}}
+    lo = dict.fromkeys(bufs, 0)  # each buffer's first row
+    done = {NET_INPUT: x.shape[1], **dict.fromkeys(range(m + 1), 0)}
+    out = np.empty(layers[m].out_shape, FLOAT)
+
+    def held(ref: int, a: int, b: int) -> np.ndarray:
+        """Rows a..b-1 of map ref, or of the network input."""
+        return bufs[store[ref]][:, a - lo[store[ref]]:b - lo[store[ref]]]
+
+    for need, lows in steps:
+        for l in layers:
+            i, a, e, ref = l.index, done[l.index], need[l.index], l.inputs[0]
+            if a == e:
+                continue
+            if i in lows and lows[i] > lo[i]:
+                bufs[i][:, :a - lows[i]] = bufs[i][:, lows[i] - lo[i]:a - lo[i]]
+                lo[i] = lows[i]
+            dest = out[:, a:e] if i == m else held(i, a, e)
+            if isinstance(l.spec, Convolutional):
+                tensor.conv2d(held(ref, lo[store[ref]], done[ref]), l.params, repeats[ref],
+                              rows=(a, e), out=dest, first_row=lo[store[ref]],
+                              height=len(repeats[ref]) + 1)
+            else:  # a shortcut, in place when it writes into its current's buffer
+                if store[i] == i:
+                    dest[:] = held(ref, a, e)
+                tensor.shortcut_add(dest, held(l.inputs[1], a, e), out=dest)
+            if i < m:
+                tensor.activate(dest, l.spec.activation)
+            done[i] = e
+    return tensor.activate(out, layers[m].spec.activation)
+
+
 def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     """Run the network; returns {yolo layer index: raw head output}.
 
     Raw head outputs have shape (len(mask)*(5+classes), grid_h, grid_w) and
     are passed through unchanged by the yolo layers. forward never writes
-    into x, and holds it only until the last layer that reads it has run: a
-    caller that passes its only reference (a temporary; on CPython >= 3.11 a
-    call moves its arguments into the callee) lets it be freed there.
+    into x, and holds it only until the last layer that reads it has run (or
+    the stem has, when the input's reader is streamed): a caller that passes
+    its only reference (a temporary; on CPython >= 3.11 a call moves its
+    arguments into the callee) lets it be freed there.
     """
     if x.shape != graph.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match network input "
@@ -186,7 +295,13 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     del x
     repeats = {NET_INPUT: repeated_rows(live[NET_INPUT])}
     heads: dict[int, np.ndarray] = {}
-    for layer in graph.layers:
+    m = _stem(graph)
+    if m:
+        for layer in graph.layers[:m + 1]:
+            repeats[layer.index] = _output_repeats(layer, [repeats[r] for r in layer.inputs])
+        live = {m: _run_stem(graph, m, live.pop(NET_INPUT), repeats)}
+        repeats = {m: repeats[m]}
+    for layer in graph.layers[m + 1 if m else 0:]:
         spec = layer.spec
         src = [live[r] for r in layer.inputs]
         # conv and shortcut outputs are this layer's own: activate them in place
@@ -245,15 +360,22 @@ def live_bytes(graph: NetworkGraph) -> list[int]:
     """Bytes of the float32 maps forward holds while each layer runs: the
     layer's output plus the input and every earlier output not yet freed.
 
-    An output that is its input's array (a yolo passthrough, a shortcut added
-    in place) takes over that array's bytes. conv2d's column, product and
-    weight buffers are not counted.
+    While the stem runs, that is the input, the streamed maps' buffers and
+    the stem consumer's output. An output that is its input's array (a yolo
+    passthrough, a shortcut added in place) takes over that array's bytes.
+    conv2d's buffers are not counted (scratch_bytes).
     """
     itemsize = np.dtype(FLOAT).itemsize
     size = {NET_INPUT: math.prod(graph.input_shape) * itemsize}
     held = size[NET_INPUT]
     live = []
-    for l in graph.layers:
+    m = _stem(graph)
+    if m:
+        bufs = sum(math.prod(shape) for shape in _stem_plan(graph, m)[2].values())
+        size = {m: math.prod(graph.layers[m].out_shape) * itemsize}
+        live = [held + size[m] + bufs * itemsize] * (m + 1)
+        held = size[m]
+    for l in graph.layers[len(live):]:
         if isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l):
             size[l.index] = size.pop(l.inputs[0])
         else:
@@ -262,6 +384,15 @@ def live_bytes(graph: NetworkGraph) -> list[int]:
         live.append(held)
         held -= sum(size.pop(r, 0) for r in l.frees)
     return live
+
+
+def scratch_bytes(graph: NetworkGraph) -> list[int]:
+    """Bytes of conv2d's float64 buffers while each layer runs: those of a
+    whole-map call (tensor.conv_scratch_bytes) for conv layers, else 0. A
+    streamed layer's calls make fewer rows, so this is their most."""
+    return [tensor.conv_scratch_bytes(l.in_channels, l.spec.filters, l.spec.size,
+                                      *l.out_shape[1:])
+            if isinstance(l.spec, Convolutional) else 0 for l in graph.layers]
 
 
 def layer_table(graph: NetworkGraph) -> str:

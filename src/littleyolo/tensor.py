@@ -140,16 +140,24 @@ def window_repeats(repeats: np.ndarray, size: int, stride: int,
     return inside & (equal_before[hi] - equal_before[lo] == hi - lo)
 
 
-def conv2d(x: np.ndarray, params: ConvParams,
-           repeats: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x: np.ndarray, params: ConvParams, repeats: np.ndarray | None = None,
+           rows: tuple[int, int] | None = None, out: np.ndarray | None = None,
+           first_row: int = 0, height: int | None = None) -> np.ndarray:
     """2-D cross-correlation with zero padding, plus batch-norm and bias.
 
     x: (c_in, H, W) float32. Returns (filters, out_h, out_w) float32.
     No activation is applied here. With x's repeat mask, the output rows
     that window_repeats marks are copied from the row above.
+
+    rows=(y0, y1) computes only output rows y0..y1-1, into out (filters,
+    y1 - y0, out_w) when given. x may then be a slab of the input: its row 0
+    is row first_row of an input `height` rows high, and it holds every row
+    those output rows read. repeats stays the whole input's mask. Row y0 is
+    computed, as row 0 is: the caller may have activated the row above.
     """
     _check_chw(x)
     c_in, h, w = x.shape
+    h = h if height is None else height
     if c_in != params.in_channels:
         raise ShapeError(f"input has {c_in} channels but weights expect "
                          f"{params.in_channels}")
@@ -161,12 +169,17 @@ def conv2d(x: np.ndarray, params: ConvParams,
     if repeats is not None and repeats.shape != (h - 1,):
         raise ShapeError(f"repeat mask must have shape ({h - 1},) for {h} rows, "
                          f"got {repeats.shape}")
+    ya, yb = (0, oh) if rows is None else rows
+    if not (0 <= ya < yb <= oh and first_row <= max(0, ya * s - p)
+            and first_row + x.shape[1] >= min(h, (yb - 1) * s - p + k)):
+        raise ShapeError(f"output rows {ya}..{yb} of {oh} need input rows the "
+                         f"slab of {x.shape[1]} from row {first_row} lacks")
 
     n, depth = params.filters, c_in * k * k
     flat_w = params.weights.reshape(n, depth)
     # Filters are multiplied `block` at a time, each block's weights cast to
     # float64 into one buffer; a layer that is one block is cast once.
-    block = min(n, max(1, WEIGHT_BLOCK_BYTES // (depth * 8)))
+    block = _filter_block(n, depth)
     w64 = np.empty((block, depth), dtype=np.float64)
     if block == n:
         w64[:] = flat_w
@@ -179,25 +192,29 @@ def conv2d(x: np.ndarray, params: ConvParams,
         scale = scale[:, None]
     shift = shift[:, None]
 
-    rows = _band_rows(c_in, k, oh, ow)
-    col_buf = np.empty(depth * rows * ow, dtype=np.float64)
-    prod_buf = np.empty(n * rows * ow, dtype=np.float64)
-    out = np.empty((n, oh, ow), dtype=FLOAT)
+    band = min(_band_rows(c_in, k, oh, ow), yb - ya)
+    col_buf = np.empty(depth * band * ow, dtype=np.float64)
+    prod_buf = np.empty(n * band * ow, dtype=np.float64)
+    if out is None:
+        out = np.empty((n, yb - ya, ow), dtype=FLOAT)
     copied = np.zeros(oh, dtype=bool)
     if repeats is not None:
         copied[1:] = window_repeats(repeats, k, s, p)
-    # Rows switch between computed and copied at these edges; row 0 is computed.
-    edges = [0, *(np.flatnonzero(copied[1:] != copied[:-1]) + 1).tolist(), oh]
+    copied = copied[ya:yb]
+    copied[0] = False
+    # Rows switch between computed and copied at these edges (indices into
+    # out); the first row is computed.
+    edges = [0, *(np.flatnonzero(copied[1:] != copied[:-1]) + 1).tolist(), yb - ya]
     runs = list(zip(edges, edges[1:]))
     col_spans = [_inside(kx - p, s, ow, w) for kx in range(k)]
-    for y0, r in ((y, min(rows, b - y)) for a, b in runs if not copied[a]
-                  for y in range(a, b, rows)):
+    for y0, r in ((y, min(band, b - y)) for a, b in runs if not copied[a]
+                  for y in range(a, b, band)):
         # Column rows are (channel, ky, kx), columns the band's pixels. Each
         # of the k*k shifted windows is copied from x, widened to float64,
         # straight in; where it falls in the zero border, zeros are written.
         cols = col_buf[:depth * r * ow].reshape(c_in, k, k, r, ow)
         for ky in range(k):
-            top = y0 * s - p + ky  # image row under the tap's first window
+            top = (ya + y0) * s - p + ky  # input row under the tap's first window
             r0, r1 = _inside(top, s, r, h)
             for kx in range(k):
                 c0, c1 = col_spans[kx]
@@ -205,7 +222,7 @@ def conv2d(x: np.ndarray, params: ConvParams,
                 if r0 or r1 < r or c0 or c1 < ow:
                     tap[:, :r0] = tap[:, r1:] = 0
                     tap[:, r0:r1, :c0] = tap[:, r0:r1, c1:] = 0
-                y, xs = top + r0 * s, kx - p + c0 * s
+                y, xs = top + r0 * s - first_row, kx - p + c0 * s
                 tap[:, r0:r1, c0:c1] = x[:, y:y + (r1 - r0) * s:s, xs:xs + (c1 - c0) * s:s]
         cols = cols.reshape(depth, r * ow)
         prod = prod_buf[:n * r * ow].reshape(n, r * ow)
@@ -227,11 +244,25 @@ def conv2d(x: np.ndarray, params: ConvParams,
     return out
 
 
+def conv_scratch_bytes(c_in: int, filters: int, k: int, oh: int, ow: int) -> int:
+    """Bytes of the float64 buffers of a whole-map conv2d call: a weight
+    block, a band of columns and the band's product."""
+    depth = c_in * k * k
+    band = _band_rows(c_in, k, oh, ow)
+    return 8 * (_filter_block(filters, depth) * depth + (depth + filters) * band * ow)
+
+
 def _inside(first: int, stride: int, count: int, extent: int) -> tuple[int, int]:
     """The span [a, b) of window positions j < count whose tap, at image
     index first + j * stride, lies inside [0, extent)."""
     a = min(count, max(0, -(first // stride)))
     return a, max(a, min(count, (extent - 1 - first) // stride + 1))
+
+
+def _filter_block(n: int, depth: int) -> int:
+    """Filters per float64 weight block: as many as fit WEIGHT_BLOCK_BYTES
+    (at least one)."""
+    return min(n, max(1, WEIGHT_BLOCK_BYTES // (depth * 8)))
 
 
 def _band_rows(c_in: int, k: int, oh: int, ow: int) -> int:

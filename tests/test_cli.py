@@ -62,14 +62,18 @@ class TestInfo:
         assert "49.82 MB" in out
         assert "flops: 15.279 B" in out
         assert "4096 x 13 x 13" in out
-        # layer 0's 16x416x416 output and layer 1's 32x208x208 one
-        assert "live maps: at most 16.61 MB, while layer 1 runs" in out
+        # layer 1's 32x208x208 output and layer 2's 64x208x208 one; layer 12's
+        # conv buffers (tensor.conv_scratch_bytes) on top of its maps
+        assert ("live maps: at most 16.61 MB, while layer 2 runs; with conv2d's "
+                "scratch, 26.74 MB, while layer 12 runs") in out
 
     def test_640_variant_grids(self, capsys):
         code, out, _ = run_cli(capsys, "info", "--size", "640")
         assert code == 0
         assert "21 x 20 x 20" in out and "21 x 40 x 40" in out
-        assert "live maps: at most 39.32 MB, while layer 1 runs" in out
+        # layers 0-3 are streamed; layer 5's and layer 6's outputs
+        assert ("live maps: at most 22.94 MB, while layer 6 runs; with conv2d's "
+                "scratch, 38.89 MB, while layer 16 runs") in out
 
     def test_weights_report(self, capsys, tiny_setup):
         code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"],

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from littleyolo import graph as graph_mod
 from littleyolo import pipeline, tensor
@@ -12,8 +14,8 @@ from littleyolo.config import (Convolutional, Maxpool, NetParams, Route,
                                reference_config_path)
 from littleyolo.graph import (GraphError, build_graph, flops, forward,
                               layer_flops, layer_table, live_bytes, model_bytes,
-                              param_count)
-from littleyolo.tensor import ShapeError, shortcut_add
+                              param_count, scratch_bytes)
+from littleyolo.tensor import ShapeError, conv_output_size, shortcut_add
 from littleyolo.weights import init_random
 from oracles import forward_seed, layer_outputs_seed
 
@@ -596,7 +598,8 @@ class TestLiveness:
         # Building layer 2's whole 99.7 MB float64 column matrix peaked at
         # 127.5 MB, and casting layer 16's weights whole at 47.6 MB; row
         # bands and filter blocks keep the pass at ~27 MB (~29 MB with a
-        # padded copy of each band's input rows).
+        # padded copy of each band's input rows). Layer 12's conv buffers
+        # set the peak, 26.8 MB with layer 0 streamed.
         peak = traced_forward_peak(ref_graph_randomized)
         assert peak <= 32e6, f"forward peaked at {peak / 1e6:.1f} MB"
 
@@ -604,7 +607,8 @@ class TestLiveness:
         # Layer 2's whole column matrix is 235.9 MB here (peak 301.6 MB). A
         # padded copy of layer 1's 26.2 MB input, and full-size temporaries
         # of leaky and the shortcut, took the banded pass to 75.7 MB; ~51 MB
-        # without them, ~49.5 MB without a padded copy of each band's rows.
+        # without them, ~49.5 MB without a padded copy of each band's rows,
+        # ~39 MB with layers 0-3 streamed (layer 16's conv buffers).
         peak = traced_forward_peak(ref_graph_randomized_640)
         assert peak <= 55e6, f"forward peaked at {peak / 1e6:.1f} MB"
 
@@ -625,6 +629,115 @@ class TestLiveness:
         monkeypatch.setattr(tensor, "conv2d", watched)
         forward(tiny_graph, handed.pop())
         assert alive[:2] == [True, False]
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                        reason="before CPython 3.11 the caller holds a call's "
+                               "arguments until the call returns")
+    def test_input_handed_over_is_freed_when_the_stem_returns(self, ref_graph_randomized,
+                                                              monkeypatch):
+        # at 416 the stem is layer 0, streamed into layer 1
+        g = ref_graph_randomized
+        handed = [np.full(g.input_shape, 0.5, np.float32)]
+        ref = weakref.ref(handed[0])
+        alive, conv2d = [], tensor.conv2d
+
+        def watched(x, params, *args, **kwargs):
+            alive.append((kwargs.get("rows") is not None, ref() is not None))
+            return conv2d(x, params, *args, **kwargs)
+        monkeypatch.setattr(tensor, "conv2d", watched)
+        forward(g, handed.pop())
+        stem = [held for streamed, held in alive if streamed]
+        assert len(stem) == 12 and all(stem)
+        assert alive[len(stem)] == (False, False)
+
+
+@st.composite
+def stem_cases(draw):
+    """(cfg, frame width, frame height): a chain of 1-6 convs (1x1 or 3x3,
+    stride 1 or 2, batch norm or not, leaky or linear) and shortcuts to
+    earlier layers of the same shape, then one yolo head, on an 8-64 px net;
+    the frame is wider than the net, so its letterbox has pad rows."""
+    net_w, net_h = draw(st.integers(8, 64)), draw(st.integers(8, 64))
+    sections = [f"[net]\nwidth={net_w}\nheight={net_h}\nchannels=3"]
+    h, w, shapes = net_h, net_w, []
+    for _ in range(draw(st.integers(1, 6))):
+        act = draw(st.sampled_from(["leaky", "linear"]))
+        same = [j for j, shape in enumerate(shapes) if shape == (h, w)]
+        if same and draw(st.booleans()):
+            sections.append(f"[shortcut]\nfrom={draw(st.sampled_from(same))}\n"
+                            f"activation={act}")
+        else:
+            k, s = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 2]))
+            sections.append(f"[convolutional]\nfilters={draw(st.integers(1, 4))}\n"
+                            f"size={k}\nstride={s}\npad=1\n"
+                            f"batch_normalize={int(draw(st.booleans()))}\n"
+                            f"activation={act}")
+            h, w = (conv_output_size(e, k, s, k // 2) for e in (h, w))
+        shapes.append((h, w))
+    sections += ["[convolutional]\nfilters=6\nsize=1\nstride=1\nactivation=linear",
+                 "[yolo]\nmask=0\nanchors=4,4\nclasses=1"]
+    frame_w = draw(st.integers(8, 64))
+    frame_h = draw(st.integers(2, max(2, frame_w * net_h // net_w - 1)))
+    return "\n\n".join(sections) + "\n", frame_w, frame_h
+
+
+class TestStem:
+    """forward streams the leading full-resolution layers a band of rows at
+    a time; the heads do not change."""
+
+    def test_rule(self, ref_graph_416, ref_graph_randomized_640, tiny_graph):
+        # at 640 layers 0-3 hold 13.1-26.2 MB each, layer 4 3.3 MB; at 416
+        # layer 0 holds 11.1 MB and layer 1 5.5 MB
+        assert graph_mod._stem(ref_graph_randomized_640) == 4
+        assert graph_mod._stem(ref_graph_416) == 1
+        assert graph_mod._stem(tiny_graph) == graph_mod._stem(mixed_graph()) == 0
+
+    def test_rule_cut_back_to_a_conv_consumer_no_later_layer_reads_past(self):
+        # Every map taken. SHORTCUT_CFG: the run of conv and shortcut layers
+        # ends at route 5, which reads layer 2, and shortcut 3 reads layer 1,
+        # so only layer 0 streams, into conv 1. MIXED_CFG: route 10 reads
+        # layer 0, so nothing streams.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "_streams", lambda layer: True)
+            assert graph_mod._stem(mixed_graph(cfg=SHORTCUT_CFG)) == 1
+            assert graph_mod._stem(mixed_graph()) == 0
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stem_cases(), st.integers(1, 8), st.sampled_from([1, 3, None]),
+           st.integers(0, 2 ** 16))
+    # the shortcut is layer 0's lowest reader: the 1x1 conv reads no row above
+    @example(("[net]\nwidth=16\nheight=16\nchannels=3\n\n" + "\n\n".join(
+        f"[convolutional]\nfilters=2\nsize={k}\nstride=1\npad=1\nactivation=leaky"
+        for k in (3, 1, 3)) + "\n\n[shortcut]\nfrom=0\nactivation=linear\n\n"
+        "[convolutional]\nfilters=6\nsize=1\nstride=1\nactivation=linear\n\n"
+        "[yolo]\nmask=0\nanchors=4,4\nclasses=1\n", 40, 20), 8, 1, 0)
+    def test_streamed_heads_equal_seed_and_unstreamed(self, case, streamed, band, seed):
+        cfg, frame_w, frame_h = case
+        g = mixed_graph(seed, cfg)
+        x = letterboxed(g, frame_w, frame_h, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "_streams", lambda layer: False)
+            whole = forward(g, x)
+            mp.setattr(graph_mod, "_streams", lambda layer: layer.index < streamed)
+            if band is not None:  # stem steps and conv bands of `band` rows
+                mp.setattr(tensor, "_band_rows", lambda c, k, oh, ow: min(band, oh))
+            assume(graph_mod._stem(g))
+            heads = forward(g, x)
+        want = forward_seed(g, x)
+        assert sorted(heads) == sorted(whole) == sorted(want)
+        for i in want:
+            assert heads[i].tobytes() == want[i].tobytes() == whole[i].tobytes()
+
+    def test_reference_640_buffers(self, ref_graph_randomized_640):
+        # Layer 4 makes 11 rows a step (its 8 MB column band), and its first
+        # step reads 22 rows of layer 3. Layer 3 adds in place into layer 2's
+        # buffer, which holds 23 rows: the stride-2 windows of the next step
+        # start one row back. Likewise layer 1 holds 24 rows, layer 0 46.
+        steps, store, shapes = graph_mod._stem_plan(ref_graph_randomized_640, 4)
+        assert len(steps) == 15 and steps[0][0] == [46, 23, 22, 22, 11]
+        assert store == {-1: -1, 0: 0, 1: 1, 2: 2, 3: 2}
+        assert shapes == {0: (16, 46, 640), 1: (32, 24, 320), 2: (64, 23, 320)}
 
 
 def traced_forward_peak(graph):
@@ -661,12 +774,30 @@ class TestReporting:
         assert sum(params.values()) == param_count(ref_graph_416) == 12_455_962
         assert ("shortcut            1                                    16.61  64 x 208 x 208"
                 in table)
-        # live MB is live_bytes; layer 0 holds the 3x416x416 input and its own
-        # 16x416x416 output, layer 1 that output and its 32x208x208 one
+        # live MB is live_bytes. Layer 0 is streamed into layer 1, which makes
+        # 35 rows a step (its 8 MB column band) from 71 rows of layer 0: while
+        # either runs, forward holds the 3x416x416 input, a 16x71x416 buffer
+        # and layer 1's whole 32x208x208 output. Layer 2 holds that output
+        # and its own 64x208x208 one.
         live = [float(line.split()[-6]) for line in lines[1:]]
         assert live == [round(b / 1e6, 2) for b in live_bytes(ref_graph_416)]
-        assert live[:2] == [round((3 + 16) * 416 * 416 * 4 / 1e6, 2),
-                            round((16 * 416 * 416 + 32 * 208 * 208) * 4 / 1e6, 2)]
+        stem = (3 * 416 * 416 + 16 * 71 * 416 + 32 * 208 * 208) * 4
+        assert live[:3] == [round(stem / 1e6, 2)] * 2 + [round(96 * 208 * 208 * 4 / 1e6, 2)]
+
+    @pytest.mark.parametrize("fixture", ["ref_graph_randomized", "ref_graph_randomized_640"])
+    def test_maps_and_scratch_match_traced_peak(self, fixture, request):
+        g = request.getfixturevalue(fixture)
+        figure = max(a + b for a, b in zip(live_bytes(g), scratch_bytes(g)))
+        peak = traced_forward_peak(g)
+        assert abs(figure - peak) <= 1e6, f"{figure / 1e6:.2f} vs {peak / 1e6:.2f} MB"
+
+    def test_scratch_bytes(self, ref_graph_416):
+        # layer 16: 455 of its 1024 filters fit a 16 MB float64 weight block,
+        # and its 4608 x 169 columns and 1024 x 169 product are one band
+        scratch = scratch_bytes(ref_graph_416)
+        assert scratch[16] == 8 * (455 * 4608 + (4608 + 1024) * 169)
+        assert all(scratch[l.index] == 0 for l in ref_graph_416.layers
+                   if not isinstance(l.spec, Convolutional))
 
     def test_live_bytes_hand_count(self, tiny_graph):
         # TINY_CFG on a 3x32x32 input, 4 bytes a value: convs to 1x16x16,

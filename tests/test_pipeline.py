@@ -443,6 +443,19 @@ class TestDetect:
             tracemalloc.stop()
         assert peak <= 28e6, f"detect peaked at {peak / 1e6:.1f} MB"
 
+    def test_memory_640_1080p(self, ref_graph_randomized_640):
+        # ~39.0 MB: layer 16's conv buffers and the maps live beside them.
+        # Holding layers 0-3's full-resolution maps whole (the stem not
+        # streamed) took it to 49.5 MB.
+        frame = np.random.default_rng(3).integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            detect(ref_graph_randomized_640, frame.transpose(2, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42e6, f"detect peaked at {peak / 1e6:.1f} MB"
+
     def test_nan_in_a_head_raises(self, planted_tiny):
         # NaN confidences fail every threshold, which would read as an
         # empty image

@@ -320,6 +320,53 @@ class TestRepeatedRows:
                               window_repeats_oracle(repeats, size, stride, padding))
 
 
+class TestRowRange:
+    """conv2d makes a range of output rows from a slab of the input rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(k, s, p) for k in (1, 3) for s in (1, 2) for p in (0, 1)]),
+           st.integers(1, 14), st.data())
+    def test_slab_rows_equal_whole_map_rows(self, ksp, h, data):
+        # the rows of a masked whole-map call, from the least slab they read,
+        # into a given out
+        k, s, p = ksp
+        rng = np.random.default_rng(h * 10 + k + s + p)
+        if conv_output_size(h, k, s, p) < 1:
+            return
+        start = data.draw(st.integers(0, h - 1))
+        runs = [(start, data.draw(st.integers(0, h - 1 - start)))]
+        x = plant_runs(rng.standard_normal((3, h, 5)).astype(np.float32), runs)
+        params = make_conv(rng.standard_normal((4, 3, k, k)), rng.standard_normal(4), s, p)
+        oh = conv_output_size(h, k, s, p)
+        y0 = data.draw(st.integers(0, oh - 1))
+        y1 = data.draw(st.integers(y0 + 1, oh))
+        a, b = max(0, y0 * s - p), min(h, (y1 - 1) * s - p + k)
+        out = np.full((4, y1 - y0 + 2, conv_output_size(5, k, s, p)), np.nan, np.float32)
+        got = conv2d(x[:, a:b], params, repeated_rows(x), rows=(y0, y1),
+                     out=out[:, 1:-1], first_row=a, height=h)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == conv2d(x, params, repeated_rows(x))[:, y0:y1].tobytes()
+        assert np.isnan(out[:, [0, -1]]).all()
+
+    def test_first_row_of_a_range_is_computed(self):
+        # rows 3..7 of a map whose rows 2.. are equal: the range's first row
+        # is not copied from a row the caller holds
+        rng = np.random.default_rng(5)
+        x = plant_runs(rng.standard_normal((2, 10, 4)).astype(np.float32), [(2, 7)])
+        params = make_conv(rng.standard_normal((3, 2, 3, 3)), padding=1)
+        got = conv2d(x, params, repeated_rows(x), rows=(4, 8))
+        assert got.shape == (3, 4, 4)
+        assert got.tobytes() == conv2d(x, params)[:, 4:8].tobytes()
+
+    @pytest.mark.parametrize("rows, first_row, slab", [((2, 5), 2, 6), ((2, 5), 0, 5),
+                                                        ((0, 0), 0, 10), ((3, 11), 0, 10)])
+    def test_slab_must_hold_the_rows_read(self, rows, first_row, slab):
+        params = make_conv(np.ones((1, 1, 3, 3)), padding=1)
+        x = np.zeros((1, slab, 4), np.float32)
+        with pytest.raises(ShapeError, match="output rows"):
+            conv2d(x, params, rows=rows, first_row=first_row, height=10)
+
+
 def test_bn_epilogue_order_matches_seed():
     # Outputs near a large batch-norm mean cancel, so any other order of the
     # float64 scale/shift (say (conv - mean) * scale + bias) shows up after
