@@ -5,6 +5,15 @@ needed to reason about shapes and cost.
 """
 
 import littleyolo as ly
+from littleyolo.graph import live_bytes, scratch_bytes
+
+
+def memory_line(graph) -> str:
+    """The most float32 maps a forward pass holds at once, and that plus
+    conv2d's float64 scratch, both from the layer shapes."""
+    live = live_bytes(graph)
+    total = max(a + b for a, b in zip(live, scratch_bytes(graph)))
+    return f"{max(live) / 1e6:.2f} MB of maps, {total / 1e6:.2f} MB with conv scratch"
 
 
 def main():
@@ -20,6 +29,7 @@ def main():
     print(f"weights file      : {nbytes:,} bytes ({nbytes / 1e6:.2f} MB)")
     print(f"conv flops        : {ly.flops(graph):.3f} B")
     print(f"detection heads   : {[l.out_shape for l in graph.yolo_layers]}")
+    print(f"forward memory    : {memory_line(graph)}")
     print()
 
     # The 640 variant keeps the wiring and just rescales grids and anchors.
@@ -28,6 +38,7 @@ def main():
     print(f"parameters        : {ly.param_count(g640):,} (unchanged)")
     print(f"conv flops        : {ly.flops(g640):.3f} B")
     print(f"detection heads   : {[l.out_shape for l in g640.yolo_layers]}")
+    print(f"forward memory    : {memory_line(g640)}")
 
 
 if __name__ == "__main__":

@@ -239,6 +239,9 @@ def cmd_info(args) -> int:
     maps, peak = (max(range(len(v)), key=v.__getitem__) for v in (live, total))
     print(f"live maps: at most {live[maps] / 1e6:.2f} MB, while layer {maps} runs; "
           f"with conv2d's scratch, {total[peak] / 1e6:.2f} MB, while layer {peak} runs")
+    runs = [f"{a}{f'-{m - 1}' if m - 1 > a else ''} into {m}"
+            for a, m in graph_mod._runs(g).items()]
+    print("streams: " + (f"layers {', '.join(runs)}" if runs else "none"))
     threads = tensor.blas_thread_count()
     print(f"blas: {_blas_name()}, " + (f"{threads} threads" if threads is not None
                                        else "thread control unavailable"))

@@ -12,14 +12,17 @@ repeated rows once. Only whole rows count: the pad columns of a portrait
 frame are not skipped. The heads do not change, as each copied row equals
 the row the conv would compute there.
 
-forward streams a stem: the conv and shortcut layers from layer 0 on whose
-maps hold at least BAND_BYTES each (layers 0-3 at 640, layer 0 at 416), up
-to the first conv after them, their consumer. Each step makes the
-consumer's next band of rows; each streamed layer makes just the rows the
-step needs, into a fixed buffer of the rows its readers have yet to read,
-so no streamed map is held whole. perfbench names a traced conv span's layer by
-its input shape, so the slab calls of a streamed layer's readers show as
-layer -1 (L-1) in its per-conv table.
+forward streams runs: each maximal run of conv and shortcut layers whose
+maps hold at least BAND_BYTES each, up to the first conv after it, its
+consumer (_runs: layers 0-3 into 4 and 6-7 into 8 at 640, layer 0 into 1
+and 2-3 into 4 at 416). Each step makes the consumer's next band of rows;
+each streamed layer makes just the rows the step needs, into a fixed buffer
+of the rows its readers have yet to read, so no streamed map is held whole.
+Maps made before a run (its input, a shortcut's source) are read whole.
+perfbench names a traced conv span's layer by its input shape, so the slab
+calls of every run's readers (each streamed conv after a run's first layer,
+and each consumer) show as layer -1 (L-1) in its per-conv table, and those
+layers read 0.00 ms there: that is perfbench's view, not a failure.
 """
 
 from __future__ import annotations
@@ -178,83 +181,103 @@ def _adds_in_place(layer: Layer) -> bool:
 
 
 def _streams(layer: Layer) -> bool:
-    """The stem's size rule: a map of at least BAND_BYTES."""
+    """The runs' size rule: a map of at least BAND_BYTES."""
     return math.prod(layer.out_shape) * np.dtype(FLOAT).itemsize >= tensor.BAND_BYTES
 
 
-def _stem(graph: NetworkGraph) -> int:
-    """How many layers from layer 0 on forward streams (0: none): the run of
-    conv and shortcut layers that _streams takes, cut back until the next
-    layer is a conv and no later layer reads inside the run."""
-    layers = graph.layers
-    m = next((l.index for l in layers if not (
-        isinstance(l.spec, (Convolutional, Shortcut)) and _streams(l))), len(layers))
+def _runs(graph: NetworkGraph) -> dict[int, int]:
+    """{first layer: consumer} of each run forward streams: every maximal run
+    of conv and shortcut layers that _streams takes, cut back until the next
+    layer, its consumer, is a conv and no later layer reads inside the run."""
+    layers, runs, first = graph.layers, {}, 0
     last = {ref: l.index for l in layers for ref in l.inputs}
-    while m and (m == len(layers) or not isinstance(layers[m].spec, Convolutional)
-                 or max(last.get(i, m + 1) for i in range(m)) > m):
-        m -= 1
-    return m
+    while first < len(layers):
+        end = first
+        while end < len(layers) and isinstance(layers[end].spec, (Convolutional, Shortcut)) \
+                and _streams(layers[end]):
+            end += 1
+        m = end
+        while m > first and (m == len(layers) or not isinstance(layers[m].spec, Convolutional)
+                             or max(last.get(i, m + 1) for i in range(first, m)) > m):
+            m -= 1
+        if m > first:
+            runs[first] = m
+        first = end + 1
+    return runs
 
 
-def _stem_plan(graph: NetworkGraph, m: int):
-    """(steps, store, shapes) of a stem of m streamed layers and its consumer,
-    layer m. Step t makes the consumer's next band of rows (its
-    tensor._band_rows); steps[t] is the rows of each of layers 0..m made by
-    its end, and the first row each buffer keeps during it, the lowest that
-    a reader has yet to read. Layer i writes into buffer store[i]: its own,
-    or its current's for a shortcut that adds in place. shapes[b] is buffer
-    b's (channels, rows, width)."""
-    layers = graph.layers[:m + 1]
-    store = {NET_INPUT: NET_INPUT}
-    for l in layers[:m]:
+def _steps(graph: NetworkGraph):
+    """forward's steps: each run (_runs) with its consumer, every other layer
+    alone, as lists of layers."""
+    runs, i = _runs(graph), 0
+    while i < len(graph.layers):
+        yield graph.layers[i:runs.get(i, i) + 1]
+        i = runs.get(i, i) + 1
+
+
+def _run_plan(graph: NetworkGraph, run: list[Layer]):
+    """(steps, store, shapes) of a run of streamed layers and its consumer,
+    run[-1]. Step t makes the consumer's next band of rows (its
+    tensor._band_rows); steps[t] is the rows of each run layer made by its
+    end, and the first row each buffer keeps during it, the lowest that a
+    reader has yet to read. Layer i writes into buffer store[i]: its own, or
+    its current's for a shortcut that adds in place; a map made before the
+    run is read whole, as its own buffer. shapes[b] is buffer b's (channels,
+    rows, width)."""
+    m = run[-1].index
+    store = {ref: ref for l in run for ref in l.inputs if ref < run[0].index}
+    for l in run[:-1]:
         in_place = isinstance(l.spec, Shortcut) and _adds_in_place(l)
         store[l.index] = store[l.inputs[0]] if in_place else l.index
-    readers = {b: [r for r in layers for j in r.inputs if store[j] == b]
-               for b in range(m) if store[b] == b}
+    readers = {b.index: [r for r in run for j in r.inputs if store[j] == b.index]
+               for b in run[:-1] if store[b.index] == b.index}
     rows = dict.fromkeys(readers, 0)
     # window size, stride and padding; a shortcut reads row y for its row y
-    geo = [(l.spec.size, l.spec.stride, l.spec.padding)
-           if isinstance(l.spec, Convolutional) else (1, 1, 0) for l in layers]
-    oh = layers[m].out_shape[1]
-    band = tensor._band_rows(layers[m].in_channels, geo[m][0], oh, layers[m].out_shape[2])
-    steps, done = [], [0] * (m + 1)
+    geo = {l.index: (l.spec.size, l.spec.stride, l.spec.padding)
+           if isinstance(l.spec, Convolutional) else (1, 1, 0) for l in run}
+    oh = run[-1].out_shape[1]
+    band = tensor._band_rows(run[-1].in_channels, geo[m][0], oh, run[-1].out_shape[2])
+    steps, done = [], {l.index: 0 for l in run}
     for end in range(band, oh + band, band):
-        need = [0] * m + [min(end, oh)]
-        for l in reversed(layers):
+        need = {**dict.fromkeys(done, 0), m: min(end, oh)}
+        for l in reversed(run):
             k, s, p = geo[l.index]
             for ref in l.inputs:
-                if ref != NET_INPUT and need[l.index]:
-                    need[ref] = max(need[ref], min(layers[ref].out_shape[1],
+                if ref in need and need[l.index]:
+                    need[ref] = max(need[ref], min(graph.layers[ref].out_shape[1],
                                                    (need[l.index] - 1) * s - p + k))
         lows = {b: min([done[b]] + [max(0, done[r.index] * geo[r.index][1] - geo[r.index][2])
                                     for r in rs]) for b, rs in readers.items()}
         rows = {b: max(rows[b], need[b] - lows[b]) for b in rows}
         steps.append((need, lows))
         done = need
-    shapes = {b: (layers[b].out_shape[0], rows[b], layers[b].out_shape[2]) for b in rows}
+    shapes = {b: (graph.layers[b].out_shape[0], rows[b], graph.layers[b].out_shape[2])
+              for b in rows}
     return steps, store, shapes
 
 
-def _run_stem(graph: NetworkGraph, m: int, x: np.ndarray,
-              repeats: dict[int, np.ndarray]) -> np.ndarray:
-    """Layer m's output, made from x by streaming layers 0..m-1 (_stem_plan).
+def _run(graph: NetworkGraph, run: list[Layer], live: dict[int, np.ndarray],
+         repeats: dict[int, np.ndarray]) -> np.ndarray:
+    """The consumer run[-1]'s output, made by streaming the layers before it
+    (_run_plan) from the maps in live.
 
     Each streamed map lives in a fixed buffer of the rows its readers still
     need; kept rows move to the front before new rows are written after them.
     """
-    layers = graph.layers[:m + 1]
-    steps, store, shapes = _stem_plan(graph, m)
-    bufs = {NET_INPUT: x, **{b: np.empty(shape, FLOAT) for b, shape in shapes.items()}}
+    m = run[-1].index
+    steps, store, shapes = _run_plan(graph, run)
+    bufs = {**{b: live[b] for b in store if b < run[0].index},
+            **{b: np.empty(shape, FLOAT) for b, shape in shapes.items()}}
     lo = dict.fromkeys(bufs, 0)  # each buffer's first row
-    done = {NET_INPUT: x.shape[1], **dict.fromkeys(range(m + 1), 0)}
-    out = np.empty(layers[m].out_shape, FLOAT)
+    done = {i: bufs[i].shape[1] if i < run[0].index else 0 for i in (*store, m)}
+    out = np.empty(run[-1].out_shape, FLOAT)
 
     def held(ref: int, a: int, b: int) -> np.ndarray:
-        """Rows a..b-1 of map ref, or of the network input."""
+        """Rows a..b-1 of map ref."""
         return bufs[store[ref]][:, a - lo[store[ref]]:b - lo[store[ref]]]
 
     for need, lows in steps:
-        for l in layers:
+        for l in run:
             i, a, e, ref = l.index, done[l.index], need[l.index], l.inputs[0]
             if a == e:
                 continue
@@ -273,7 +296,7 @@ def _run_stem(graph: NetworkGraph, m: int, x: np.ndarray,
             if i < m:
                 tensor.activate(dest, l.spec.activation)
             done[i] = e
-    return tensor.activate(out, layers[m].spec.activation)
+    return tensor.activate(out, run[-1].spec.activation)
 
 
 def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
@@ -282,7 +305,7 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     Raw head outputs have shape (len(mask)*(5+classes), grid_h, grid_w) and
     are passed through unchanged by the yolo layers. forward never writes
     into x, and holds it only until the last layer that reads it has run (or
-    the stem has, when the input's reader is streamed): a caller that passes
+    the run that streams it has): a caller that passes
     its only reference (a temporary; on CPython >= 3.11 a call moves its
     arguments into the callee) lets it be freed there.
     """
@@ -295,17 +318,16 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     del x
     repeats = {NET_INPUT: repeated_rows(live[NET_INPUT])}
     heads: dict[int, np.ndarray] = {}
-    m = _stem(graph)
-    if m:
-        for layer in graph.layers[:m + 1]:
-            repeats[layer.index] = _output_repeats(layer, [repeats[r] for r in layer.inputs])
-        live = {m: _run_stem(graph, m, live.pop(NET_INPUT), repeats)}
-        repeats = {m: repeats[m]}
-    for layer in graph.layers[m + 1 if m else 0:]:
+    for run in _steps(graph):
+        layer = run[-1]
         spec = layer.spec
-        src = [live[r] for r in layer.inputs]
+        src = [live.get(r) for r in layer.inputs]  # a consumer's input is streamed
         # conv and shortcut outputs are this layer's own: activate them in place
-        if isinstance(spec, Convolutional):
+        if len(run) > 1:
+            for l in run[:-1]:
+                repeats[l.index] = _output_repeats(l, [repeats[r] for r in l.inputs])
+            out = _run(graph, run, live, repeats)
+        elif isinstance(spec, Convolutional):
             out = tensor.activate(tensor.conv2d(src[0], layer.params,
                                                 repeats[layer.inputs[0]]),
                                   spec.activation)
@@ -325,8 +347,9 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
         assert out.shape == layer.out_shape, \
             f"layer {layer.index}: got {out.shape}, inferred {layer.out_shape}"
         mask = _output_repeats(layer, [repeats[r] for r in layer.inputs])
-        for ref in layer.frees:
-            del live[ref], repeats[ref]
+        for ref in (ref for l in run for ref in l.frees):
+            live.pop(ref, None)  # a streamed map is never in live
+            del repeats[ref]
         live[layer.index], repeats[layer.index] = out, mask
     return heads
 
@@ -360,38 +383,39 @@ def live_bytes(graph: NetworkGraph) -> list[int]:
     """Bytes of the float32 maps forward holds while each layer runs: the
     layer's output plus the input and every earlier output not yet freed.
 
-    While the stem runs, that is the input, the streamed maps' buffers and
-    the stem consumer's output. An output that is its input's array (a yolo
+    While a run streams, that is those maps, the run's buffers and its
+    consumer's output. An output that is its input's array (a yolo
     passthrough, a shortcut added in place) takes over that array's bytes.
     conv2d's buffers are not counted (scratch_bytes).
     """
     itemsize = np.dtype(FLOAT).itemsize
     size = {NET_INPUT: math.prod(graph.input_shape) * itemsize}
-    held = size[NET_INPUT]
-    live = []
-    m = _stem(graph)
-    if m:
-        bufs = sum(math.prod(shape) for shape in _stem_plan(graph, m)[2].values())
-        size = {m: math.prod(graph.layers[m].out_shape) * itemsize}
-        live = [held + size[m] + bufs * itemsize] * (m + 1)
-        held = size[m]
-    for l in graph.layers[len(live):]:
+    held, live = size[NET_INPUT], []
+    for run in _steps(graph):
+        l = run[-1]
         if isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l):
             size[l.index] = size.pop(l.inputs[0])
         else:
             size[l.index] = math.prod(l.out_shape) * itemsize
             held += size[l.index]
-        live.append(held)
-        held -= sum(size.pop(r, 0) for r in l.frees)
+        bufs = sum(math.prod(s) for s in _run_plan(graph, run)[2].values()) if run[:-1] else 0
+        live += [held + bufs * itemsize] * len(run)
+        held -= sum(size.pop(r, 0) for l in run for r in l.frees)
     return live
 
 
 def scratch_bytes(graph: NetworkGraph) -> list[int]:
-    """Bytes of conv2d's float64 buffers while each layer runs: those of a
-    whole-map call (tensor.conv_scratch_bytes) for conv layers, else 0. A
-    streamed layer's calls make fewer rows, so this is their most."""
+    """Bytes of conv2d's float64 buffers while each layer runs
+    (tensor.conv_scratch_bytes) for conv layers, else 0: those of a whole-map
+    call, or of a streamed layer's largest call, the most rows one step
+    makes (_run_plan)."""
+    rows = {l.index: l.out_shape[1] for l in graph.layers}
+    for run in (run for run in _steps(graph) if run[:-1]):
+        made = [dict.fromkeys(rows, 0)] + [need for need, _ in _run_plan(graph, run)[0]]
+        for l in run[:-1]:
+            rows[l.index] = max(b[l.index] - a[l.index] for a, b in zip(made, made[1:]))
     return [tensor.conv_scratch_bytes(l.in_channels, l.spec.filters, l.spec.size,
-                                      *l.out_shape[1:])
+                                      rows[l.index], l.out_shape[2])
             if isinstance(l.spec, Convolutional) else 0 for l in graph.layers]
 
 

@@ -2,8 +2,10 @@
 
 A feature map is a float32, C-contiguous (channels, height, width) array
 with no batch dimension. Kernels return new arrays, except the activations,
-which overwrite their input, and shortcut_add(..., out=current). README.md's
-tensor bullet describes conv2d's row bands and filter blocks.
+which overwrite their input, and shortcut_add(..., out=current). conv2d
+multiplies its float64 columns a band of output rows (BAND_BYTES) at a time,
+by equal float64 filter blocks (WEIGHT_BLOCK_BYTES), both sized from the
+layer shape alone; README.md's tensor bullet says more.
 
 A map's repeat mask is an (H-1,) bool array: entry i says row i+1 is bitwise
 equal to row i in every channel (a landscape frame's letterbox pad is such a
@@ -37,14 +39,14 @@ ACTIVATIONS = ("linear", "leaky")
 
 BN_EPSILON = 1e-6
 
-# conv2d builds a float64 column matrix of up to this many bytes whole, in
-# one band; a larger one is built and multiplied BAND_BYTES at a time.
-TILE_THRESHOLD_BYTES = 16 << 20
+# conv2d builds its float64 column matrix and multiplies it this many bytes
+# of output rows at a time.
 BAND_BYTES = 8 << 20
-# conv2d casts a layer's weights to float64 and multiplies them in blocks of
-# filters whose float64 copy fits this many bytes (at least one filter).
-WEIGHT_BLOCK_BYTES = 16 << 20
-# leaky_relu works through a map this many elements at a time.
+# conv2d casts a layer's weights to float64 and multiplies them in equal
+# blocks of filters whose float64 copy fits this many bytes (at least one
+# filter).
+WEIGHT_BLOCK_BYTES = 10 << 20
+# leaky_relu works through a map at most this many elements at a time.
 LEAKY_SLAB = 1 << 16
 
 
@@ -245,8 +247,8 @@ def conv2d(x: np.ndarray, params: ConvParams, repeats: np.ndarray | None = None,
 
 
 def conv_scratch_bytes(c_in: int, filters: int, k: int, oh: int, ow: int) -> int:
-    """Bytes of the float64 buffers of a whole-map conv2d call: a weight
-    block, a band of columns and the band's product."""
+    """Bytes of the float64 buffers of a conv2d call that makes oh output
+    rows: a weight block, a band of columns and the band's product."""
     depth = c_in * k * k
     band = _band_rows(c_in, k, oh, ow)
     return 8 * (_filter_block(filters, depth) * depth + (depth + filters) * band * ow)
@@ -260,22 +262,17 @@ def _inside(first: int, stride: int, count: int, extent: int) -> tuple[int, int]
 
 
 def _filter_block(n: int, depth: int) -> int:
-    """Filters per float64 weight block: as many as fit WEIGHT_BLOCK_BYTES
-    (at least one)."""
-    return min(n, max(1, WEIGHT_BLOCK_BYTES // (depth * 8)))
+    """Filters per float64 weight block: the fewest equal blocks whose float64
+    copy fits WEIGHT_BLOCK_BYTES (at least one filter each)."""
+    blocks = -(-n // max(1, WEIGHT_BLOCK_BYTES // (depth * 8)))
+    return -(-n // blocks)
 
 
 def _band_rows(c_in: int, k: int, oh: int, ow: int) -> int:
-    """Output rows per band of conv2d's column matrix.
-
-    A pure function of the layer shape: all oh rows when the whole float64
-    matrix fits TILE_THRESHOLD_BYTES, else as many rows as fit BAND_BYTES
-    (at least one).
-    """
-    row_bytes = c_in * k * k * ow * 8
-    if row_bytes * oh <= TILE_THRESHOLD_BYTES:
-        return oh
-    return max(1, BAND_BYTES // row_bytes)
+    """Output rows per band of conv2d's column matrix, a pure function of the
+    layer shape: as many as fit BAND_BYTES of float64 columns (at least one,
+    at most oh)."""
+    return min(oh, max(1, BAND_BYTES // (c_in * k * k * ow * 8)))
 
 
 def maxpool(x: np.ndarray, size: int, stride: int, padding: int) -> np.ndarray:
@@ -354,17 +351,22 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
     """max(x, 0.1*x) in place, the conventional darknet leaky slope; returns x.
 
     Equal to x where x > 0 and 0.1*x elsewhere, signed zeros and NaN
-    included. A C-contiguous x is done LEAKY_SLAB elements at a time, so
-    the 0.1*x temporary stays small; any other x in one shot.
+    included. x is done whole items of its first axis at a time, up to
+    LEAKY_SLAB elements (an item larger than that item by item), so the
+    0.1*x temporary stays small whatever x's strides, as for a row slice
+    of a map.
     """
+    items = np.atleast_1d(x)
+    if items.size and items[0].size > LEAKY_SLAB:
+        for part in items:
+            leaky_relu(part)
+        return x
     slope = x.dtype.type(0.1)
-    if not x.flags.c_contiguous:
-        return np.maximum(x, slope * x, out=x)
-    flat = x.reshape(-1)
-    scaled = np.empty(min(flat.size, LEAKY_SLAB), dtype=x.dtype)
-    for i in range(0, flat.size, LEAKY_SLAB):
-        slab = flat[i:i + LEAKY_SLAB]
-        np.maximum(slab, np.multiply(slab, slope, out=scaled[:slab.size]), out=slab)
+    step = LEAKY_SLAB // max(1, items[0].size) if items.size else 1
+    scaled = np.empty((min(step, len(items)), *items.shape[1:]), dtype=x.dtype)
+    for i in range(0, len(items), step):
+        part = items[i:i + step]
+        np.maximum(part, np.multiply(part, slope, out=scaled[:len(part)]), out=part)
     return x
 
 

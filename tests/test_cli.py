@@ -62,18 +62,25 @@ class TestInfo:
         assert "49.82 MB" in out
         assert "flops: 15.279 B" in out
         assert "4096 x 13 x 13" in out
-        # layer 1's 32x208x208 output and layer 2's 64x208x208 one; layer 12's
-        # conv buffers (tensor.conv_scratch_bytes) on top of its maps
-        assert ("live maps: at most 16.61 MB, while layer 2 runs; with conv2d's "
-                "scratch, 26.74 MB, while layer 12 runs") in out
+        # layer 5's and layer 6's outputs; layer 12's conv buffers
+        # (tensor.conv_scratch_bytes) on top of its maps
+        assert ("live maps: at most 9.69 MB, while layer 6 runs; with conv2d's "
+                "scratch, 21.47 MB, while layer 12 runs") in out
+        assert "streams: layers 0 into 1, 2-3 into 4\n" in out
 
     def test_640_variant_grids(self, capsys):
         code, out, _ = run_cli(capsys, "info", "--size", "640")
         assert code == 0
         assert "21 x 20 x 20" in out and "21 x 40 x 40" in out
-        # layers 0-3 are streamed; layer 5's and layer 6's outputs
-        assert ("live maps: at most 22.94 MB, while layer 6 runs; with conv2d's "
-                "scratch, 38.89 MB, while layer 16 runs") in out
+        # layers 0-3 and 6-7 are streamed; while layer 6 runs, layers 4 and
+        # 5, layer 6's buffer and layer 8's output; layer 8's conv buffers
+        assert ("live maps: at most 18.27 MB, while layer 6 runs; with conv2d's "
+                "scratch, 30.54 MB, while layer 8 runs") in out
+        assert "streams: layers 0-3 into 4, 6-7 into 8\n" in out
+
+    def test_no_runs(self, capsys, tiny_setup):
+        code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"])
+        assert code == 0 and "streams: none\n" in out
 
     def test_weights_report(self, capsys, tiny_setup):
         code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"],

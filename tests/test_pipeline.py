@@ -431,9 +431,10 @@ class TestDetect:
             detect(tiny_graph, to_chw_float(frame), conf_threshold=0.1)
 
     def test_memory_416(self, ref_graph_randomized):
-        # ~27.0 MB: the forward pass's maps and conv buffers. Keeping the
-        # 2.1 MB canvas through the forward pass, and copying layer 1's
-        # padded input rows into a 1.9 MB band, took it to 31.0 MB.
+        # ~21.6 MB: the forward pass's maps and conv buffers (layer 12's).
+        # Keeping the 2.1 MB canvas through the forward pass, and copying
+        # layer 1's padded input rows into a 1.9 MB band, took it to 31.0
+        # MB; layer 12's whole 12.5 MB column matrix to 27.0 MB.
         frame = np.random.default_rng(3).integers(0, 256, (480, 640, 3), dtype=np.uint8)
         tracemalloc.start()
         try:
@@ -441,12 +442,13 @@ class TestDetect:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28e6, f"detect peaked at {peak / 1e6:.1f} MB"
+        assert peak <= 22.5e6, f"detect peaked at {peak / 1e6:.1f} MB"
 
     def test_memory_640_1080p(self, ref_graph_randomized_640):
-        # ~39.0 MB: layer 16's conv buffers and the maps live beside them.
-        # Holding layers 0-3's full-resolution maps whole (the stem not
-        # streamed) took it to 49.5 MB.
+        # ~30.6 MB: layer 8's conv buffers and the maps live beside them.
+        # Holding layers 0-3's full-resolution maps whole (not streamed)
+        # took it to 49.5 MB, and layer 16's 16.8 MB weight block and whole
+        # 14.7 MB column matrix, with layers 6-7 held whole, to 39.0 MB.
         frame = np.random.default_rng(3).integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
         tracemalloc.start()
         try:
@@ -454,7 +456,7 @@ class TestDetect:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 42e6, f"detect peaked at {peak / 1e6:.1f} MB"
+        assert peak <= 31.6e6, f"detect peaked at {peak / 1e6:.1f} MB"
 
     def test_nan_in_a_head_raises(self, planted_tiny):
         # NaN confidences fail every threshold, which would read as an

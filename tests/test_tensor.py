@@ -141,17 +141,17 @@ def test_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn, 
        st.one_of(st.just(1), st.integers(1, 40000)))
 def test_tiled_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, with_bn,
                                           seed, band_bytes, block_bytes):
-    # A zero threshold tiles every shape; band_bytes below one row's bytes
-    # gives 1-row bands, larger values give bands of several rows with a
-    # short last band wherever they do not divide the output height. With
-    # padding, the first and last bands reach into the zero border. Weight
-    # blocks below one filter's float64 bytes hold one filter each.
+    # band_bytes below one row's bytes gives 1-row bands, larger values give
+    # bands of several rows with a short last band wherever they do not
+    # divide the output height. With padding, the first and last bands reach
+    # into the zero border. Weight blocks below one filter's float64 bytes
+    # hold one filter each; others split the filters into equal blocks and a
+    # short last one.
     case = seed_case(c_in, n, k, stride, padding, h, w, with_bn, seed)
     if case is None:
         return
     x, p = case
-    with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
-            mock.patch.object(tensor, "BAND_BYTES", band_bytes), \
+    with mock.patch.object(tensor, "BAND_BYTES", band_bytes), \
             mock.patch.object(tensor, "WEIGHT_BLOCK_BYTES", block_bytes):
         got = conv2d(x, p)
     assert got.dtype == np.float32 and got.flags.c_contiguous
@@ -160,8 +160,11 @@ def test_tiled_conv_bit_identical_to_seed(c_in, n, k, stride, padding, h, w, wit
 
 class TestBandRows:
     def test_small_matrix_is_one_band(self):
-        # layer 12 at 416: 256 channels, 3x3, 26x26 output, 12.5 MB of columns
-        assert tensor._band_rows(256, 3, 26, 26) == 26
+        # layer 16 at 416: 512 channels, 3x3, 13x13 output, 6.2 MB of columns
+        assert tensor._band_rows(512, 3, 13, 13) == 13
+        # layer 12 at 416: 256 channels, 3x3, 26x26 output, 12.5 MB of
+        # columns, is banded as every larger matrix is: 17 rows of 0.48 MB
+        assert tensor._band_rows(256, 3, 26, 26) == 17
 
     def test_large_matrix_bands_fit_band_bytes(self):
         # layer 2 at 416: 32 channels, 3x3, 208x208 output, 99.7 MB of columns
@@ -173,10 +176,25 @@ class TestBandRows:
     def test_row_larger_than_band_gives_one_row(self):
         assert tensor._band_rows(4096, 3, 1000, 1000) == 1
 
+    def test_filter_blocks_are_equal_and_fit_weight_block_bytes(self):
+        # layer 16: 1024 filters of 4608 float64 weights (37.7 MB) make four
+        # blocks of 256 (9.4 MB); layers 12, 13, 15 and 23 (9.4 MB) are one
+        # block, so they are cast once per call
+        assert tensor._filter_block(1024, 4608) == 256
+        assert tensor._filter_block(512, 2304) == 512
+        assert tensor._filter_block(256, 4608) == 256
+        for n, depth in ((1024, 4608), (1000, 3000), (7, 10 ** 7), (300, 2304 * 5)):
+            most = max(1, tensor.WEIGHT_BLOCK_BYTES // (depth * 8))
+            block = tensor._filter_block(n, depth)
+            blocks = -(-n // block)
+            assert block <= most and blocks == -(-n // most)  # the fewest that fit
+            # the last block is short by fewer filters than there are blocks
+            assert n - (blocks - 1) * block > block - blocks
+
     def test_forced_tiling_short_last_band_and_one_row_bands(self):
-        # 0.25 MB threshold: 16 channels * 9 * 40 wide * 8 B = 46 KB per
-        # row, 1.8 MB in all, so the matrix is tiled; 7 rows per band leave
-        # a short last band of 5 rows; a 1-byte band gives 1-row bands.
+        # 16 channels * 9 * 40 wide * 8 B = 46 KB per row, 1.8 MB in all;
+        # 7 rows per band leave a short last band of 5 rows; a 1-byte band
+        # gives 1-row bands.
         rng = np.random.default_rng(21)
         x = rng.standard_normal((16, 40, 40)).astype(np.float32)
         bn = BatchNorm(gamma=rng.uniform(0.5, 2, 24).astype(np.float32),
@@ -186,8 +204,7 @@ class TestBandRows:
                       1, 1, bn)
         row_bytes = 16 * 9 * 40 * 8
         for band_bytes, rows in ((7 * row_bytes, 7), (1, 1)):
-            with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 1 << 18), \
-                    mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+            with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
                 assert tensor._band_rows(16, 3, 40, 40) == rows
                 got = conv2d(x, p)
             assert np.array_equal(got, conv2d_seed(x, p))
@@ -201,8 +218,7 @@ class TestBandRows:
         x = rng.standard_normal((2, 5, 7)).astype(np.float32)
         p = make_conv(rng.standard_normal((3, 2, k, k)), rng.standard_normal(3),
                       stride, k)
-        with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
-                mock.patch.object(tensor, "BAND_BYTES", 1):
+        with mock.patch.object(tensor, "BAND_BYTES", 1):
             assert tensor._band_rows(2, k, 1, 1) == 1
             got = conv2d(x, p)
         assert got.tobytes() == conv2d_seed(x, p).tobytes()
@@ -283,8 +299,7 @@ class TestRepeatedRows:
                        [(0, 5), (9, 2), (14, 5)])
         params = make_conv(rng.standard_normal((5, 4, 3, 3)), rng.standard_normal(5),
                            1, 1)
-        with mock.patch.object(tensor, "TILE_THRESHOLD_BYTES", 0), \
-                mock.patch.object(tensor, "BAND_BYTES", 1), \
+        with mock.patch.object(tensor, "BAND_BYTES", 1), \
                 mock.patch.object(tensor, "WEIGHT_BLOCK_BYTES", 1):
             got = conv2d(x, params, repeated_rows(x))
         assert got.tobytes() == conv2d_seed(x, params).tobytes()
@@ -588,12 +603,36 @@ class TestActivations:
             with mock.patch.object(tensor, "LEAKY_SLAB", 7):
                 assert leaky_relu(y) is y
             assert y.tobytes() == want.tobytes()
-        # a strided view is done in one shot, into itself
+        # a strided view is done in slabs too, into itself
         base = np.repeat(x, 2)
         view = base[::2]
-        assert leaky_relu(view) is view
+        with mock.patch.object(tensor, "LEAKY_SLAB", 7):
+            assert leaky_relu(view) is view
         assert view.tobytes() == want.tobytes()
         assert base[1::2].tobytes() == x.tobytes()
+
+    def test_leaky_row_slice_is_done_in_small_pieces(self):
+        # A streamed layer's rows are a (64, 22, 320) slice of a (64, 46, 320)
+        # buffer, not C-contiguous. Its 0.1*x temporary stays within one
+        # LEAKY_SLAB (0.26 MB), not the slice's 1.80 MB, and the result
+        # equals that of a contiguous copy bit for bit.
+        import tracemalloc
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45,
+                            -1e-45, 3.4e38, -3.4e38], dtype=np.float32)
+        buf = np.random.default_rng(9).standard_normal((64, 46, 320)).astype(np.float32)
+        buf.reshape(-1)[::997] = np.resize(special, buf.reshape(-1)[::997].size)
+        rows, before = buf[:, 12:34], buf.copy()
+        want = leaky_relu(rows.copy())
+        tracemalloc.start()
+        try:
+            assert leaky_relu(rows) is rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3e6, f"{peak / 1e6:.2f} MB"
+        assert rows.tobytes() == want.tobytes()
+        assert buf[:, :12].tobytes() == before[:, :12].tobytes()
+        assert buf[:, 34:].tobytes() == before[:, 34:].tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "leaky"])
     def test_activate_inplace_matches_copy(self, kind):
