@@ -49,15 +49,7 @@ def _read_names(path) -> tuple[str, ...]:
 
 
 def _json_dump(obj, path):
-    tmp = str(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    weights.replace_file(path, [(json.dumps(obj, indent=2) + "\n").encode("utf-8")])
 
 
 # --------------------------------------------------------------------- detect
@@ -85,8 +77,8 @@ def _detect_one(g, image_path, args, names, out_dir=None):
     if out_dir is not None:
         _json_dump(result, out_dir / (image_path.stem + ".json"))
         if args.annotate:
-            imaging.write_ppm(out_dir / (image_path.stem + ".annotated.ppm"),
-                              imaging.annotate(image, dets))
+            weights.replace_file(out_dir / (image_path.stem + ".annotated.ppm"),
+                                 [imaging.encode_ppm(imaging.annotate(image, dets))])
     return result
 
 

@@ -287,8 +287,7 @@ def _run(graph: NetworkGraph, run: list[Layer], live: dict[int, np.ndarray],
             dest = out[:, a:e] if i == m else held(i, a, e)
             if isinstance(l.spec, Convolutional):
                 tensor.conv2d(held(ref, lo[store[ref]], done[ref]), l.params, repeats[ref],
-                              rows=(a, e), out=dest, first_row=lo[store[ref]],
-                              height=len(repeats[ref]) + 1)
+                              rows=(a, e), out=dest, first_row=lo[store[ref]])
             else:  # a shortcut, in place when it writes into its current's buffer
                 if store[i] == i:
                     dest[:] = held(ref, a, e)

@@ -77,11 +77,6 @@ def read_image(path) -> np.ndarray:
         raise ImageError(f"{path}: {exc}") from None
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    with open(str(path), "wb") as fh:
-        fh.write(encode_ppm(image))
-
-
 def to_chw_float(image: np.ndarray) -> np.ndarray:
     """uint8 (H, W, 3) -> float32 (3, H, W) scaled to [0, 1]."""
     if image.ndim != 3 or image.shape[2] != 3:

@@ -58,12 +58,9 @@ def class_names_for(classes: int, names: tuple[str, ...] | None = None) -> tuple
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| only, so nothing overflows; min(x, -x) keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 # ------------------------------------------------------------------ letterbox

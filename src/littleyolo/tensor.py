@@ -14,7 +14,8 @@ that window_repeats does not mark and copies each marked run from the row
 above it: a marked row's window and the window above it lie inside the map
 and cover only equal rows, so both read the same column vector.
 
-conv2d accumulates in float64 and casts to float32, within 1e-5 relative of
+conv2d accumulates in float64, scales and shifts it (a scale of ones without
+batch norm: x * 1.0 is exact) and casts to float32, within 1e-5 relative of
 a direct-definition oracle. A band's or filter block's float64 product, a
 column's place in the product, or another BLAS thread count (blas_threads),
 may change the product's last bits; the float32 cast has absorbed every such
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +48,7 @@ BAND_BYTES = 8 << 20
 # blocks of filters whose float64 copy fits this many bytes (at least one
 # filter).
 WEIGHT_BLOCK_BYTES = 10 << 20
-# leaky_relu works through a map at most this many elements at a time.
+# leaky_relu's 0.1*x temporary holds at most this many elements, or one item.
 LEAKY_SLAB = 1 << 16
 
 
@@ -144,7 +146,7 @@ def window_repeats(repeats: np.ndarray, size: int, stride: int,
 
 def conv2d(x: np.ndarray, params: ConvParams, repeats: np.ndarray | None = None,
            rows: tuple[int, int] | None = None, out: np.ndarray | None = None,
-           first_row: int = 0, height: int | None = None) -> np.ndarray:
+           first_row: int = 0) -> np.ndarray:
     """2-D cross-correlation with zero padding, plus batch-norm and bias.
 
     x: (c_in, H, W) float32. Returns (filters, out_h, out_w) float32.
@@ -152,14 +154,16 @@ def conv2d(x: np.ndarray, params: ConvParams, repeats: np.ndarray | None = None,
     that window_repeats marks are copied from the row above.
 
     rows=(y0, y1) computes only output rows y0..y1-1, into out (filters,
-    y1 - y0, out_w) when given. x may then be a slab of the input: its row 0
-    is row first_row of an input `height` rows high, and it holds every row
-    those output rows read. repeats stays the whole input's mask. Row y0 is
-    computed, as row 0 is: the caller may have activated the row above.
+    y1 - y0, out_w) when given. x may then be a slab of the input, its row 0
+    the input's row first_row, holding every row those output rows read;
+    repeats stays the whole input's mask and gives its height (without a
+    mask, x is the whole input). Row y0 is computed, as row 0 is: the
+    caller may have activated the row above.
     """
     _check_chw(x)
     c_in, h, w = x.shape
-    h = h if height is None else height
+    if rows is not None and repeats is not None:
+        h = len(repeats) + 1
     if c_in != params.in_channels:
         raise ShapeError(f"input has {c_in} channels but weights expect "
                          f"{params.in_channels}")
@@ -186,13 +190,12 @@ def conv2d(x: np.ndarray, params: ConvParams, repeats: np.ndarray | None = None,
     if block == n:
         w64[:] = flat_w
     bn = params.batch_norm
-    scale = None
+    scale = np.ones(n)
     shift = params.bias.astype(np.float64)
     if bn is not None:
         scale = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.epsilon)
         shift = shift - bn.mean.astype(np.float64) * scale
-        scale = scale[:, None]
-    shift = shift[:, None]
+    scale, shift = scale[:, None], shift[:, None]
 
     band = min(_band_rows(c_in, k, oh, ow), yb - ya)
     col_buf = np.empty(depth * band * ow, dtype=np.float64)
@@ -233,8 +236,7 @@ def conv2d(x: np.ndarray, params: ConvParams, repeats: np.ndarray | None = None,
             if block < n:
                 w64[:f1 - f0] = flat_w[f0:f1]
             np.matmul(w64[:f1 - f0], cols, out=prod[f0:f1])
-        if scale is not None:
-            prod *= scale
+        prod *= scale
         prod += shift
         out[:, y0:y0 + r] = prod.reshape(n, r, ow)
     # Each copied run repeats the computed row above it. The source is a copy
@@ -351,18 +353,13 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
     """max(x, 0.1*x) in place, the conventional darknet leaky slope; returns x.
 
     Equal to x where x > 0 and 0.1*x elsewhere, signed zeros and NaN
-    included. x is done whole items of its first axis at a time, up to
-    LEAKY_SLAB elements (an item larger than that item by item), so the
-    0.1*x temporary stays small whatever x's strides, as for a row slice
-    of a map.
+    included. x is done whole items of its first axis at a time, as many as
+    fit LEAKY_SLAB elements (at least one), so the 0.1*x temporary stays
+    small whatever x's strides, as for a row slice of a map.
     """
     items = np.atleast_1d(x)
-    if items.size and items[0].size > LEAKY_SLAB:
-        for part in items:
-            leaky_relu(part)
-        return x
     slope = x.dtype.type(0.1)
-    step = LEAKY_SLAB // max(1, items[0].size) if items.size else 1
+    step = max(1, LEAKY_SLAB // max(1, math.prod(items.shape[1:])))
     scaled = np.empty((min(step, len(items)), *items.shape[1:]), dtype=x.dtype)
     for i in range(0, len(items), step):
         part = items[i:i + step]

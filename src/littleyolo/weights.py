@@ -15,11 +15,13 @@ Layout (all little-endian):
 After the header and size checks, every layer's arrays view the values in
 place, read as little-endian float32: a file is mapped read-only, not copied,
 so the loaded parameters are read-only and the file must be replaced by a
-rename, never rewritten in place (save_weights_file does so).
+rename, never rewritten in place. replace_file is that rule, and every file
+littleyolo writes goes through it: weights, JSON and annotated images.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import struct
@@ -210,16 +212,22 @@ def load_weights_file(graph, path):
         raise WeightsError(f"{path}: {exc}") from None
 
 
-def save_weights_file(graph, path) -> int:
-    """Write save_weights(graph) to path one array at a time, through
-    <path>.tmp and a rename: a process that has the old file mapped keeps
-    reading it whole. Returns the byte count."""
+def replace_file(path, chunks) -> int:
+    """Write the byte chunks to <path>.tmp and rename it over path; returns
+    the byte count. On any failure the .tmp is removed and the error raised,
+    so path holds the old file or the new one, whole, never a part."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        try:
-            size = sum(map(fh.write, _chunks(graph)))
-        except BaseException:
+    try:
+        with open(tmp, "wb") as fh:
+            size = sum(map(fh.write, chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
+        raise
     return size
+
+
+def save_weights_file(graph, path) -> int:
+    """replace_file with save_weights(graph), one array at a time."""
+    return replace_file(path, _chunks(graph))

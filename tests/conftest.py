@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,43 @@ def planted_image(dtype=np.float32):
 @pytest.fixture
 def planted_tiny(tiny_graph):
     return craft_planted_params(tiny_graph)
+
+
+def fill_disk(monkeypatch, room, name=""):
+    """Make weights.replace_file's writes to a file whose path holds `name`
+    fail part-way, as on a full disk: once `room` bytes are written, write
+    raises OSError(ENOSPC); with room None, every write passes and closing
+    the file (its last flush) raises."""
+    from littleyolo import weights
+    full = OSError(errno.ENOSPC, "No space left on device")
+
+    class Full:
+        def __init__(self, fh):
+            self.fh, self.room = fh, room
+
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            if self.room is None:
+                return self.fh.write(data)
+            self.fh.write(data[:self.room])
+            if len(data) > self.room:
+                self.room = 0
+                raise full
+            self.room -= len(data)
+            return len(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, kind, *exc):
+            self.fh.close()
+            if kind is None and self.room is None:
+                raise full
+
+    def full_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return Full(fh) if "w" in mode and name in str(path) else fh
+    monkeypatch.setattr(weights, "open", full_open, raising=False)
 
 
 def write_ppm_image(path, pixels):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, TINY_CFG,
-                      craft_planted_params, write_ppm_image)
+                      craft_planted_params, fill_disk, write_ppm_image)
 from littleyolo import cli, imaging, pipeline, tensor, weights
 from littleyolo import evaluate as eval_mod
 from littleyolo import graph as graph_mod
@@ -1034,15 +1034,56 @@ class TestJsonDump:
         if fail == "unserializable":
             doc, error = {"x": object()}, TypeError
         else:
-            def dump(obj, fh, **kwargs):
-                fh.write('{"x": ')
-                raise OSError(errno.ENOSPC, "No space left on device")
-            monkeypatch.setattr(cli.json, "dump", dump)
+            fill_disk(monkeypatch, 6)  # writes '{\n  "x'
             error = OSError
         with pytest.raises(error):
             cli._json_dump(doc, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
         assert path.read_text() == "old\n"
+
+
+class TestReplacedWhole:
+    """A failed write or rename of a detect or eval output leaves the old
+    file as it was and no .tmp."""
+
+    @pytest.fixture
+    def outputs(self, tiny_setup, capsys):
+        """The argv of a detect --annotate and of an eval --output, and their
+        outputs as a first run of each wrote them."""
+        d = tiny_setup["dir"]
+        (d / "gt.txt").write_text("scene car 0 0 10 10\n")
+        (d / "preds.txt").write_text("scene car 0.9 0 0 10 10\n")
+        runs = [["detect", "--cfg", tiny_setup["cfg"], "--weights", tiny_setup["weights"],
+                 "--input", tiny_setup["image"], "--output", str(d / "out"), "--annotate"],
+                ["eval", "--gt", str(d / "gt.txt"), "--preds", str(d / "preds.txt"),
+                 "--output", str(d / "out" / "report.json")]]
+        for argv in runs:
+            assert run_cli(capsys, *argv)[0] == 0
+        files = {p.name: p.read_bytes() for p in (d / "out").iterdir()}
+        assert sorted(files) == ["report.json", "scene.annotated.ppm", "scene.json"]
+        return runs, d / "out", files
+
+    @pytest.mark.parametrize("name", ["scene.annotated.ppm", "report.json"])
+    @pytest.mark.parametrize("fail", ["part-way", "rename"])
+    def test_failed_replace_keeps_the_old_file(self, capsys, monkeypatch, outputs,
+                                               name, fail):
+        runs, out, files = outputs
+        old = b"old " + files[name]
+        (out / name).write_bytes(old)
+        if fail == "part-way":
+            fill_disk(monkeypatch, 100, name)
+        else:
+            replace = weights.os.replace
+
+            def failing(src, dst):
+                if name in str(dst):
+                    raise OSError(errno.EXDEV, "Invalid cross-device link")
+                replace(src, dst)
+            monkeypatch.setattr(weights.os, "replace", failing)
+        code, _, err = run_cli(capsys, *runs[name == "report.json"])
+        assert code == 1 and err.startswith("error: ")
+        assert (out / name).read_bytes() == old
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 class TestParser:

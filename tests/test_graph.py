@@ -656,19 +656,41 @@ class TestLiveness:
 
 @st.composite
 def stem_cases(draw):
-    """(cfg, frame width, frame height): a chain of 1-6 convs (1x1 or 3x3,
-    stride 1 or 2, batch norm or not, leaky or linear) and shortcuts to
-    earlier layers of the same shape, then one yolo head, on an 8-64 px net;
-    the frame is wider than the net, so its letterbox has pad rows."""
+    """(cfg, frame width, frame height): a chain of 1-6 layers on an 8-64 px
+    net, then a 1x1 conv and a yolo head. The chain draws convs (1x1 or 3x3,
+    stride 1 or 2, batch norm or not, leaky or linear), maxpools (size 2-5,
+    stride 1-2), shortcuts to and routes with earlier layers of the same
+    shape, x2 upsamples (of maps up to 32 px), and at most one more head, a
+    1x1 conv and yolo off the chain, after which a route resumes the chain.
+    The frame is wider than the net, so its letterbox has pad rows."""
     net_w, net_h = draw(st.integers(8, 64)), draw(st.integers(8, 64))
     sections = [f"[net]\nwidth={net_w}\nheight={net_h}\nchannels=3"]
-    h, w, shapes = net_h, net_w, []
+    h, w, shapes = net_h, net_w, []  # shapes[j]: layer j's (h, w), None for a head's
+    head = "[convolutional]\nfilters=6\nsize=1\nstride=1\nactivation=linear\n\n" \
+           "[yolo]\nmask=0\nanchors=4,4\nclasses=1"
     for _ in range(draw(st.integers(1, 6))):
         act = draw(st.sampled_from(["leaky", "linear"]))
+        prev = len(shapes) - 1
         same = [j for j, shape in enumerate(shapes) if shape == (h, w)]
-        if same and draw(st.booleans()):
+        kind = draw(st.sampled_from(["conv", "conv", "shortcut", "maxpool", "route",
+                                     "upsample", "head"]))
+        if kind == "shortcut" and same:
             sections.append(f"[shortcut]\nfrom={draw(st.sampled_from(same))}\n"
                             f"activation={act}")
+        elif kind == "maxpool":
+            size, s = draw(st.integers(2, 5)), draw(st.integers(1, 2))
+            sections.append(f"[maxpool]\nsize={size}\nstride={s}")
+            h, w = (conv_output_size(e, size, s, size // 2) for e in (h, w))
+        elif kind == "route" and len(same) > 1:
+            # the previous layer and another of its shape, in either order
+            refs = [prev, draw(st.sampled_from(same[:-1]))][::draw(st.sampled_from([1, -1]))]
+            sections.append(f"[route]\nlayers={refs[0]},{refs[1]}")
+        elif kind == "upsample" and max(h, w) <= 32:
+            sections.append("[upsample]\nstride=2")
+            h, w = 2 * h, 2 * w
+        elif kind == "head" and same and None not in shapes:
+            sections += [head, f"[route]\nlayers={prev}"]
+            shapes += [None, None]
         else:
             k, s = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 2]))
             sections.append(f"[convolutional]\nfilters={draw(st.integers(1, 4))}\n"
@@ -677,8 +699,7 @@ def stem_cases(draw):
                             f"activation={act}")
             h, w = (conv_output_size(e, k, s, k // 2) for e in (h, w))
         shapes.append((h, w))
-    sections += ["[convolutional]\nfilters=6\nsize=1\nstride=1\nactivation=linear",
-                 "[yolo]\nmask=0\nanchors=4,4\nclasses=1"]
+    sections.append(head)
     frame_w = draw(st.integers(8, 64))
     frame_h = draw(st.integers(2, max(2, frame_w * net_h // net_w - 1)))
     return "\n\n".join(sections) + "\n", frame_w, frame_h
@@ -768,17 +789,19 @@ class TestStem:
         "[convolutional]\nfilters=6\nsize=1\nstride=1\nactivation=linear\n\n"
         "[yolo]\nmask=0\nanchors=4,4\nclasses=1\n", 40, 20), 8, 1, 0)
     def test_streamed_heads_equal_seed_and_unstreamed(self, case, streamed, band, seed):
+        # whole: the pass with no run streamed and no row marked
         cfg, frame_w, frame_h = case
         g = mixed_graph(seed, cfg)
         x = letterboxed(g, frame_w, frame_h, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_mod, "_streams", lambda layer: False)
-            whole = forward(g, x)
             mp.setattr(graph_mod, "_streams", lambda layer: layer.index < streamed)
             if band is not None:  # stem steps and conv bands of `band` rows
                 mp.setattr(tensor, "_band_rows", lambda c, k, oh, ow: min(band, oh))
             assume(graph_mod._runs(g))
             heads = forward(g, x)
+            mp.setattr(graph_mod, "_streams", lambda layer: False)
+            mp.setattr(graph_mod, "repeated_rows", no_repeats)
+            whole = forward(g, x)
         want = forward_seed(g, x)
         assert sorted(heads) == sorted(whole) == sorted(want)
         for i in want:

@@ -192,6 +192,19 @@ class TestDecode:
         assert np.isfinite(out.boxes).all()
         assert all(np.isfinite(tuple(d.bbox)).all() for d in kept)
 
+    def test_sigmoid_is_the_two_branch_logistic(self):
+        # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, bit
+        # for bit, NaN signs included, and no exp overflows
+        x = np.random.default_rng(6).standard_normal(20000) * [[10], [300]]
+        x = np.append(x, [0.0, -0.0, 700, -700, 1e-320, -1e-320, np.inf, -np.inf,
+                          1e308, -1e308, np.nan, -np.nan])
+        want, pos = np.empty_like(x), x >= 0
+        want[pos] = 1 / (1 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1 + np.exp(x[~pos]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline._sigmoid(x).tobytes() == want.tobytes()
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):
             decode_yolo(np.zeros((15, 2, 2), np.float32), self.ANCHORS,

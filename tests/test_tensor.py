@@ -358,7 +358,7 @@ class TestRowRange:
         a, b = max(0, y0 * s - p), min(h, (y1 - 1) * s - p + k)
         out = np.full((4, y1 - y0 + 2, conv_output_size(5, k, s, p)), np.nan, np.float32)
         got = conv2d(x[:, a:b], params, repeated_rows(x), rows=(y0, y1),
-                     out=out[:, 1:-1], first_row=a, height=h)
+                     out=out[:, 1:-1], first_row=a)
         assert np.shares_memory(got, out)
         assert got.tobytes() == conv2d(x, params, repeated_rows(x))[:, y0:y1].tobytes()
         assert np.isnan(out[:, [0, -1]]).all()
@@ -376,10 +376,11 @@ class TestRowRange:
     @pytest.mark.parametrize("rows, first_row, slab", [((2, 5), 2, 6), ((2, 5), 0, 5),
                                                         ((0, 0), 0, 10), ((3, 11), 0, 10)])
     def test_slab_must_hold_the_rows_read(self, rows, first_row, slab):
+        # the mask says the input is 10 rows high
         params = make_conv(np.ones((1, 1, 3, 3)), padding=1)
         x = np.zeros((1, slab, 4), np.float32)
         with pytest.raises(ShapeError, match="output rows"):
-            conv2d(x, params, rows=rows, first_row=first_row, height=10)
+            conv2d(x, params, np.zeros(9, bool), rows=rows, first_row=first_row)
 
 
 def test_bn_epilogue_order_matches_seed():

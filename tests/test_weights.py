@@ -1,5 +1,8 @@
+import ast
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +10,14 @@ import pytest
 from littleyolo.config import load_config, reference_config_path
 from littleyolo.graph import build_graph
 from littleyolo import rng as rng_mod
+from littleyolo import weights as weights_mod
 from littleyolo.rng import uniform_stream
 from littleyolo.weights import (HEADER_BYTES, WeightsError,
                                 expected_file_size, init_random,
                                 layer_param_count, load_weights,
                                 load_weights_file, save_weights,
                                 save_weights_file)
+from conftest import fill_disk
 from oracles import SplitMix64
 
 
@@ -495,6 +500,58 @@ class TestSaveChecks:
             save_weights_file(_one_conv(False, in_channels=5), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["one.weights"]
+
+
+class TestReplaceFile:
+    """save_weights_file writes through replace_file, which leaves the old
+    file whole and no .tmp when the write or the rename fails."""
+
+    def test_save_onto_a_directory_leaves_no_tmp(self, bn_populated, tmp_path):
+        path = tmp_path / "bn.weights"
+        path.mkdir()
+        with pytest.raises(OSError):
+            save_weights_file(bn_populated, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["bn.weights"] and path.is_dir()
+
+    @pytest.mark.parametrize("room", [HEADER_BYTES + 40, None], ids=["write", "close"])
+    def test_part_way_write_keeps_the_old_file(self, bn_populated, tmp_path, monkeypatch,
+                                               room):
+        # the disk fills after the header and 40 bytes of the first array,
+        # or at the flush on close
+        path = tmp_path / "bn.weights"
+        save_weights_file(init_random(build_graph_copy(bn_populated), seed=4), path)
+        before = path.read_bytes()
+        fill_disk(monkeypatch, room)
+        with pytest.raises(OSError, match="No space left"):
+            save_weights_file(bn_populated, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["bn.weights"]
+
+    def test_replace_file_is_the_only_writer(self):
+        # Every call in the package that opens a file for writing (open or
+        # .open with a mode holding w, a, x or +, .write_text, .write_bytes),
+        # by file and enclosing function: only replace_file may.
+        writes = set()
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = (where[0], child.name)
+                elif isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    modes = [a.value for a in [*child.args, *(k.value for k in child.keywords)]
+                             if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                             and re.fullmatch(r"[rwxabt+]+", a.value)]
+                    if name in ("write_text", "write_bytes") or name == "open" and any(
+                            set(m) & set("wax+") for m in modes):
+                        writes.add((*where, child.lineno))
+                visit(child, inner)
+
+        for path in sorted(Path(weights_mod.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), (path.name, None))
+        assert {w[:2] for w in writes} == {("weights.py", "replace_file")}, sorted(writes)
 
 
 class TestSizes:
