@@ -74,11 +74,11 @@ def _detect_one(g, image_path, args, names, out_dir=None):
         "height": h,
         "detections": [pipeline.detection_to_dict(d) for d in dets],
     }
-    if out_dir is not None:
-        _json_dump(result, out_dir / (image_path.stem + ".json"))
+    if out_dir is not None:  # the image first: if it fails, the old pair stays
         if args.annotate:
             weights.replace_file(out_dir / (image_path.stem + ".annotated.ppm"),
                                  [imaging.encode_ppm(imaging.annotate(image, dets))])
+        _json_dump(result, out_dir / (image_path.stem + ".json"))
     return result
 
 

@@ -6,6 +6,10 @@ geometry); every later section describes one layer, indexed from 0 in file
 order. Route/shortcut references may be written relative (negative) or
 absolute (non-negative); lowering normalizes them to absolute indices.
 
+Sections are read through one table of their specs' fields (cfg key, type,
+default), which KNOWN_KEYS and print_config share. The only defaults outside
+the dataclasses: a maxpool's padding (size // 2), a yolo mask (every anchor).
+
 parse_config -> ConfigDocument (raw sections, line numbers preserved)
 lower_to_specs -> [NetParams, LayerSpec, ...] (typed, validated, defaults applied)
 print_config -> canonical text; lower(parse(print(specs))) == specs
@@ -15,8 +19,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
+from typing import get_type_hints
 
 from .tensor import ACTIVATIONS
 
@@ -116,11 +121,16 @@ SPECS = {"net": NetParams, "convolutional": Convolutional, "maxpool": Maxpool,
 KNOWN_SECTIONS = ("network", *SPECS)  # [network] is read as [net]
 
 
-def _key(name: str) -> str:
-    return "from" if name == "from_layer" else name
+def _fields(spec) -> tuple[tuple, ...]:
+    """spec's fields as (name, cfg key, resolved type, default): MISSING for a
+    required key, None for the two that lower_to_specs derives."""
+    kinds, derived = get_type_hints(spec), {(Maxpool, "padding"), (Yolo, "mask")}
+    return tuple((f.name, "from" if f.name == "from_layer" else f.name, kinds[f.name],
+                  None if (spec, f.name) in derived else f.default) for f in fields(spec))
 
 
-KNOWN_KEYS = {name: {_key(f.name) for f in fields(spec)} for name, spec in SPECS.items()}
+_FIELDS = {name: _fields(spec) for name, spec in SPECS.items()}
+KNOWN_KEYS = {name: {key for _, key, _, _ in table} for name, table in _FIELDS.items()}
 
 
 # --------------------------------------------------------------------- parse
@@ -133,7 +143,7 @@ _FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 def _parse_scalar(text: str) -> Value:
     """text as an int or a float when it is one of the numbers above, else
-    text itself, which the _want_* readers reject with its key and line."""
+    text itself, which lower_to_specs rejects with its key and line."""
     if _INT.fullmatch(text):
         return int(text)
     if _FLOAT.fullmatch(text):
@@ -208,121 +218,75 @@ def parse_config(text: str) -> ConfigDocument:
 
 # --------------------------------------------------------------------- lower
 
-def _want_int(sec: Section, key: str, default: int | None = None,
-              minimum: int | None = None) -> int:
-    if key not in sec.values:
-        if default is None:
+def _bad(sec: Section, key: str, wants: str, v) -> ConfigError:
+    return ConfigError(f"[{sec.name}] key {key!r} must be {wants}, got {v!r}", sec.lines[key])
+
+
+def _read(sec: Section, f: tuple, index: int):
+    """sec's value for field f of layer `index`, checked against f's type. A
+    missing key takes f's default, or raises when f has none."""
+    name, key, kind, default = f
+    v = sec.values.get(key, MISSING)
+    if v is MISSING:
+        if default is MISSING:
             raise ConfigError(f"[{sec.name}] is missing required key {key!r}", sec.line)
         return default
-    v = sec.values[key]
-    if not isinstance(v, int):
-        raise ConfigError(f"[{sec.name}] key {key!r} must be an integer, got {v!r}",
-                          sec.lines[key])
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"[{sec.name}] key {key!r} must be >= {minimum}, got {v}",
-                          sec.lines[key])
-    return v
-
-
-def _want_float(sec: Section, key: str, default: float | None = None) -> float:
-    if key not in sec.values:
-        if default is None:
-            raise ConfigError(f"[{sec.name}] is missing required key {key!r}", sec.line)
-        return default
-    v = sec.values[key]
-    if not isinstance(v, (int, float)):
-        raise ConfigError(f"[{sec.name}] key {key!r} must be a number, got {v!r}",
-                          sec.lines[key])
-    return float(v)
-
-
-def _want_int_tuple(sec: Section, key: str) -> tuple[int, ...]:
-    if key not in sec.values:
-        raise ConfigError(f"[{sec.name}] is missing required key {key!r}", sec.line)
-    v = sec.values[key]
-    if isinstance(v, int):
-        return (v,)
-    if isinstance(v, tuple) and all(isinstance(i, int) for i in v):
+    if kind is int or kind is bool:
+        if not isinstance(v, int):
+            raise _bad(sec, key, "an integer", v)
+        if kind is bool:
+            return bool(v)
+        if name == "from_layer":
+            return _resolve(v, index, sec, key)
+        low = name != "padding"  # 1, or 0 for a maxpool's padding
+        if v < low:
+            raise _bad(sec, key, f">= {low:d}", v)
         return v
-    raise ConfigError(f"[{sec.name}] key {key!r} must be integers, got {v!r}",
-                      sec.lines[key])
+    if kind is float:
+        if not isinstance(v, (int, float)):
+            raise _bad(sec, key, "a number", v)
+        return float(v)
+    if kind is str:  # an activation
+        if v not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {v!r}", sec.lines[key])
+        return v
+    flat = v if isinstance(v, tuple) else (v,)  # a one-item list parses as a scalar
+    if kind == tuple[int, ...]:
+        if not all(isinstance(r, int) for r in flat):
+            raise _bad(sec, key, "integers", v)
+        return tuple(_resolve(r, index, sec, key) for r in flat) if name == "layers" else flat
+    if len(flat) % 2 or not all(isinstance(x, (int, float)) for x in flat):  # anchors
+        raise ConfigError(f"anchors must be w,h pairs, got {flat!r}", sec.lines[key])
+    return tuple((float(flat[j]), float(flat[j + 1])) for j in range(0, len(flat), 2))
 
 
-def _want_activation(sec: Section) -> str:
-    v = sec.values.get("activation", "linear")
-    if v not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {v!r}", sec.lines.get("activation", sec.line))
-    return v
-
-
-def _resolve_index(ref: int, layer_index: int, sec: Section, key: str) -> int:
+def _resolve(ref: int, layer_index: int, sec: Section, key: str) -> int:
     absolute = layer_index + ref if ref < 0 else ref
-    if absolute < 0 or absolute >= layer_index:
-        raise ConfigError(
-            f"[{sec.name}] key {key!r} points at layer {absolute}, which is not "
-            f"before layer {layer_index}", sec.lines[key])
+    if not 0 <= absolute < layer_index:
+        raise ConfigError(f"[{sec.name}] key {key!r} points at layer {absolute}, which is "
+                          f"not before layer {layer_index}", sec.lines[key])
     return absolute
 
 
 def lower_to_specs(doc: ConfigDocument) -> list[NetParams | LayerSpec]:
-    """Validate raw sections and produce typed specs with absolute indices."""
-    net_sec = doc.sections[0]
-    net = NetParams(width=_want_int(net_sec, "width", minimum=1),
-                    height=_want_int(net_sec, "height", minimum=1),
-                    channels=_want_int(net_sec, "channels", minimum=1))
-    specs: list[NetParams | LayerSpec] = [net]
-    for i, sec in enumerate(doc.sections[1:]):
-        if sec.name == "convolutional":
-            size = _want_int(sec, "size", default=1, minimum=1)
-            spec: LayerSpec = Convolutional(
-                filters=_want_int(sec, "filters", minimum=1),
-                size=size,
-                stride=_want_int(sec, "stride", default=1, minimum=1),
-                pad=bool(_want_int(sec, "pad", default=0)),
-                batch_normalize=bool(_want_int(sec, "batch_normalize", default=0)),
-                activation=_want_activation(sec),
-            )
-        elif sec.name == "maxpool":
-            size = _want_int(sec, "size", minimum=1)
-            padding = _want_int(sec, "padding", default=size // 2, minimum=0)
+    """doc's sections as typed, checked specs with absolute layer references."""
+    specs: list[NetParams | LayerSpec] = []
+    for i, sec in enumerate(doc.sections, start=-1):  # [net] is -1, the first layer 0
+        kw = {f[0]: _read(sec, f, i) for f in _FIELDS[sec.name]}
+        if sec.name == "maxpool":
+            size, padding = kw["size"], kw["padding"]
+            if padding is None:
+                kw["padding"] = padding = size // 2
             if padding >= size:
                 raise ConfigError(f"maxpool padding {padding} must be < size {size}",
                                   sec.lines.get("padding", sec.line))
-            spec = Maxpool(size=size,
-                           stride=_want_int(sec, "stride", default=1, minimum=1),
-                           padding=padding)
-        elif sec.name == "route":
-            refs = _want_int_tuple(sec, "layers")
-            spec = Route(layers=tuple(_resolve_index(r, i, sec, "layers") for r in refs))
-        elif sec.name == "shortcut":
-            ref = _want_int(sec, "from")
-            spec = Shortcut(from_layer=_resolve_index(ref, i, sec, "from"),
-                            activation=_want_activation(sec))
-        elif sec.name == "upsample":
-            spec = Upsample(stride=_want_int(sec, "stride", default=2, minimum=1))
         elif sec.name == "yolo":
-            if "anchors" not in sec.values:
-                raise ConfigError("[yolo] without anchors", sec.line)
-            flat = sec.values["anchors"]
-            if not isinstance(flat, tuple):
-                flat = (flat,)
-            if len(flat) % 2 != 0 or not all(isinstance(v, (int, float)) for v in flat):
-                raise ConfigError(f"anchors must be w,h pairs, got {flat!r}",
-                                  sec.lines["anchors"])
-            anchors = tuple((float(flat[j]), float(flat[j + 1]))
-                            for j in range(0, len(flat), 2))
-            mask = (_want_int_tuple(sec, "mask") if "mask" in sec.values
-                    else tuple(range(len(anchors))))
-            bad = [m for m in mask if m < 0 or m >= len(anchors)]
-            if bad:
-                raise ConfigError(f"mask index {bad[0]} out of range for "
-                                  f"{len(anchors)} anchors", sec.lines.get("mask", sec.line))
-            spec = Yolo(mask=mask, anchors=anchors,
-                        classes=_want_int(sec, "classes", minimum=1),
-                        ignore_thresh=_want_float(sec, "ignore_thresh", default=0.5))
-        else:  # pragma: no cover - parse_config only admits known names
-            raise ConfigError(f"unknown section [{sec.name}]", sec.line)
-        specs.append(spec)
+            n = len(kw["anchors"])
+            kw["mask"] = tuple(range(n)) if kw["mask"] is None else kw["mask"]
+            if bad := [m for m in kw["mask"] if not 0 <= m < n]:
+                raise ConfigError(f"mask index {bad[0]} out of range for {n} anchors",
+                                  sec.lines.get("mask", sec.line))
+        specs.append(SPECS[sec.name](**kw))
     return specs
 
 
@@ -352,13 +316,13 @@ def print_config(specs: list[NetParams | LayerSpec]) -> str:
         if name is None or (name == "net") != (i < 0):
             raise ConfigError(f"cannot print spec of type {type(spec).__name__}")
         out.append(f"[{name}]")
-        for f in fields(spec):
-            v = getattr(spec, f.name)
-            if f.name == "layers":
+        for field_name, key, _, _ in _FIELDS[name]:
+            v = getattr(spec, field_name)
+            if field_name == "layers":
                 v = tuple(ref - i for ref in v)
-            elif f.name == "from_layer":
+            elif field_name == "from_layer":
                 v -= i
-            out.append(f"{_key(f.name)}={_fmt(v)}")
+            out.append(f"{key}={_fmt(v)}")
         out.append("")
     return "\n".join(out)
 

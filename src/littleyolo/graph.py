@@ -36,7 +36,8 @@ from . import tensor
 from .config import (Convolutional, LayerSpec, Maxpool, NetParams, Route,
                      Shortcut, Upsample, Yolo)
 from .tensor import FLOAT, ShapeError, conv_output_size
-from .weights import expected_file_size, layer_param_count
+# param_count and model_bytes (the weights file's size) are reported from here too
+from .weights import expected_file_size as model_bytes, layer_param_count, param_count
 
 NET_INPUT = -1
 
@@ -354,17 +355,6 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
 
 
 # ----------------------------------------------------------------- reporting
-
-def param_count(graph: NetworkGraph) -> int:
-    """Total stored reals: conv weights + biases + batch-norm triples."""
-    return sum(layer_param_count(l.spec, l.in_channels) for l in graph.layers
-               if isinstance(l.spec, Convolutional))
-
-
-def model_bytes(graph: NetworkGraph) -> int:
-    """Size of the serialized weights file: 20-byte header + 4 per real."""
-    return expected_file_size(graph)
-
 
 def layer_flops(layer: Layer) -> int:
     """Multiply-add work of one conv layer: 2 * k^2 * c_in * filters * out_h * out_w."""

@@ -61,11 +61,14 @@ def layer_param_count(spec, in_channels: int) -> int:
     return sum(length for _, length in _arrays(spec, in_channels))
 
 
+def param_count(graph) -> int:
+    """Total stored reals: conv weights + biases + batch-norm triples."""
+    return sum(layer_param_count(layer.spec, layer.in_channels) for layer in _conv_layers(graph))
+
+
 def expected_file_size(graph) -> int:
     """Exact weights-file size in bytes: header + 4 bytes per stored real."""
-    total = sum(layer_param_count(layer.spec, layer.in_channels)
-                for layer in _conv_layers(graph))
-    return HEADER_BYTES + 4 * total
+    return HEADER_BYTES + 4 * param_count(graph)
 
 
 def _chunks(graph):
@@ -185,7 +188,7 @@ def init_random(graph, seed: int):
     gamma = 1, mean = 0, var = 1. Bit-identical for a given seed everywhere.
     The draws go straight into the one float32 buffer the layers view.
     """
-    floats = np.empty((expected_file_size(graph) - HEADER_BYTES) // 4, dtype=FLOAT)
+    floats = np.empty(param_count(graph), dtype=FLOAT)
     drawn = 0
     for _, views in _views(graph, floats):
         for name, view in views.items():
@@ -215,15 +218,18 @@ def load_weights_file(graph, path):
 def replace_file(path, chunks) -> int:
     """Write the byte chunks to <path>.tmp and rename it over path; returns
     the byte count. On any failure the .tmp is removed and the error raised,
-    so path holds the old file or the new one, whole, never a part."""
+    so path holds the old file or the new one, whole, never a part. An
+    OSError that names no file (a full disk) is raised naming path."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             size = sum(map(fh.write, chunks))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from None
         raise
     return size
 

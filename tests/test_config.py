@@ -1,14 +1,19 @@
+import inspect
+import sys
 import textwrap
+import types
 import warnings
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littleyolo.config import (KNOWN_KEYS, KNOWN_SECTIONS, ConfigError, ConfigWarning,
-                               Convolutional, Maxpool, NetParams, Route, Shortcut,
-                               Upsample, Yolo, load_config, lower_to_specs, parse_config,
-                               print_config, reference_config_path)
+from littleyolo import config
+from littleyolo.config import (KNOWN_KEYS, KNOWN_SECTIONS, SPECS, ConfigError,
+                               ConfigWarning, Convolutional, Maxpool, NetParams, Route,
+                               Shortcut, Upsample, Yolo, load_config, lower_to_specs,
+                               parse_config, print_config, reference_config_path)
 
 MINI = textwrap.dedent("""\
     [net]
@@ -183,7 +188,8 @@ class TestLower:
 
     def test_yolo_requires_anchors(self):
         bad = "[net]\nwidth=8\nheight=8\nchannels=1\n\n[yolo]\nclasses=2\nmask=0\n"
-        with pytest.raises(ConfigError, match="anchors"):
+        with pytest.raises(ConfigError, match=r"line 6: \[yolo\] is missing required "
+                                              r"key 'anchors'"):
             lower(bad)
 
     def test_yolo_odd_anchor_list(self):
@@ -213,6 +219,100 @@ class TestLower:
                    f"[convolutional]\nfilters=1\nsize=1\nactivation={name}\n")
             with pytest.raises(ConfigError, match=f"line 9: unknown activation '{name}'"):
                 lower(bad)
+
+
+# Each section's required keys, and a valid non-default value for every key:
+# key -> (cfg text, lowered value). Layers 0 and 1 come before the section.
+PREFIX = "[net]\nwidth=8\nheight=8\nchannels=1\n[upsample]\n[upsample]\n"
+REQUIRED = {
+    "net": {"width": ("8", 8), "height": ("8", 8), "channels": ("1", 1)},
+    "convolutional": {"filters": ("2", 2)},
+    "maxpool": {"size": ("3", 3)},
+    "route": {"layers": ("-1", (1,))},
+    "shortcut": {"from": ("-1", 1)},
+    "upsample": {},
+    "yolo": {"anchors": ("1,2, 3,4", ((1.0, 2.0), (3.0, 4.0))), "classes": ("2", 2)},
+}
+OTHER = {
+    "net": {"width": ("16", 16), "height": ("24", 24), "channels": ("3", 3)},
+    "convolutional": {"filters": ("5", 5), "size": ("3", 3), "stride": ("2", 2),
+                      "pad": ("1", True), "batch_normalize": ("7", True),
+                      "activation": ("leaky", "leaky")},
+    "maxpool": {"size": ("5", 5), "stride": ("2", 2), "padding": ("0", 0)},
+    "route": {"layers": ("0,-1", (0, 1))},
+    "shortcut": {"from": ("0", 0), "activation": ("leaky", "leaky")},
+    "upsample": {"stride": ("3", 3)},
+    "yolo": {"mask": ("1", (1,)), "classes": ("7", 7), "ignore_thresh": ("0.7", 0.7),
+             "anchors": ("1.5,2, 3,4, 5,6", ((1.5, 2.0), (3.0, 4.0), (5.0, 6.0)))},
+}
+FIELD_CASES = [(section, key) for section, keys in OTHER.items() for key in keys]
+
+
+def field_name(key):
+    return "from_layer" if key == "from" else key
+
+
+def required_texts(section):
+    return {k: text for k, (text, _) in REQUIRED[section].items()}
+
+
+def lower_section(section, texts):
+    """The spec one [section] with these key=value texts lowers to."""
+    body = f"[{section}]\n" + "".join(f"{k}={v}\n" for k, v in texts.items())
+    if section == "net":
+        return lower_to_specs(parse_config(body))[0]
+    return lower_to_specs(parse_config(PREFIX + body))[-1]
+
+
+class TestFieldTable:
+    """lower_to_specs, print_config and KNOWN_KEYS read each spec's fields."""
+
+    def test_cases_cover_every_key(self):
+        assert {section: set(keys) for section, keys in OTHER.items()} == KNOWN_KEYS
+        for section, spec in SPECS.items():  # the mask defaults to every anchor
+            required = {f.name for f in fields(spec) if f.default is MISSING} - {"mask"}
+            assert {field_name(k) for k in REQUIRED[section]} == required
+
+    @pytest.mark.parametrize("section, key", FIELD_CASES)
+    def test_every_field_is_read(self, section, key):
+        text, want = OTHER[section][key]
+        base = lower_section(section, required_texts(section))
+        got = lower_section(section, {**required_texts(section), key: text})
+        assert getattr(got, field_name(key)) == want != getattr(base, field_name(key))
+
+    @pytest.mark.parametrize("section", list(REQUIRED))
+    def test_required_keys_alone_give_the_dataclass(self, section):
+        kw = {field_name(k): v for k, (_, v) in REQUIRED[section].items()}
+        # the two defaults the cfg works out from another key
+        derived = {"maxpool": {"padding": 1}, "yolo": {"mask": (0, 1)}}.get(section, {})
+        assert lower_section(section, required_texts(section)) == \
+            SPECS[section](**kw, **derived)
+
+    def test_a_field_added_to_a_spec_is_read_printed_and_known(self, monkeypatch):
+        # the module as it would be with one more Upsample field, and no other edit
+        source = inspect.getsource(config)
+        edited = source.replace("class Upsample:\n    stride: int = 2\n",
+                                "class Upsample:\n    stride: int = 2\n    groups: int = 1\n")
+        assert edited != source
+        module = types.ModuleType("littleyolo.config_with_groups")
+        module.__package__ = "littleyolo"
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(compile(edited, config.__file__, "exec"), module.__dict__)
+
+        def lower_upsample(body):
+            text = "[net]\nwidth=8\nheight=8\nchannels=1\n[upsample]\n" + body
+            return module.lower_to_specs(module.parse_config(text))[1]
+
+        assert module.KNOWN_KEYS["upsample"] == {"stride", "groups"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", module.ConfigWarning)
+            spec = lower_upsample("groups=4\n")
+        assert spec == module.Upsample(stride=2, groups=4)
+        assert lower_upsample("") == module.Upsample(stride=2, groups=1)
+        printed = module.print_config([module.NetParams(8, 8, 1), spec])
+        assert printed.endswith("[upsample]\nstride=2\ngroups=4\n")
+        with pytest.raises(module.ConfigError, match="'groups' must be >= 1, got 0"):
+            lower_upsample("groups=0\n")
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +492,8 @@ def random_network(draw):
     specs = [NetParams(width=64, height=64, channels=3)]
     n_layers = draw(st.integers(1, 8))
     for i in range(n_layers):
-        kind = draw(st.sampled_from(["conv", "pool", "route", "upsample"]))
+        kind = draw(st.sampled_from(["conv", "pool", "route", "shortcut", "upsample",
+                                     "yolo"]))
         if kind == "conv" or i == 0:
             specs.append(Convolutional(
                 filters=draw(st.integers(1, 8)),
@@ -409,6 +510,17 @@ def random_network(draw):
             refs = draw(st.lists(st.integers(0, i - 1), min_size=1,
                                  max_size=2, unique=True))
             specs.append(Route(layers=tuple(refs)))
+        elif kind == "shortcut":
+            specs.append(Shortcut(from_layer=draw(st.integers(0, i - 1)),
+                                  activation=draw(st.sampled_from(["linear", "leaky"]))))
+        elif kind == "yolo":
+            side = st.floats(0.5, 700).filter(lambda v: not v.is_integer())
+            anchors = tuple(draw(st.lists(st.tuples(side, side), min_size=1, max_size=4)))
+            mask = draw(st.lists(st.integers(0, len(anchors) - 1), min_size=1,
+                                 max_size=len(anchors), unique=True))
+            specs.append(Yolo(mask=tuple(mask), anchors=anchors,
+                              classes=draw(st.integers(1, 5)),
+                              ignore_thresh=draw(st.floats(0, 1))))
         else:
             specs.append(Upsample(stride=2))
     return specs
