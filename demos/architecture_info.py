@@ -5,14 +5,13 @@ needed to reason about shapes and cost.
 """
 
 import littleyolo as ly
-from littleyolo.graph import live_bytes, scratch_bytes
 
 
 def memory_line(graph) -> str:
     """The most float32 maps a forward pass holds at once, and that plus
     conv2d's float64 scratch, both from the layer shapes."""
-    live = live_bytes(graph)
-    total = max(a + b for a, b in zip(live, scratch_bytes(graph)))
+    live = graph.plan.live
+    total = max(a + b for a, b in zip(live, graph.plan.scratch))
     return f"{max(live) / 1e6:.2f} MB of maps, {total / 1e6:.2f} MB with conv scratch"
 
 

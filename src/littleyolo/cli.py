@@ -226,13 +226,11 @@ def cmd_info(args) -> int:
     print(f"\nlayers: {len(g.layers)}   params: {params:,}   "
           f"weights file: {size:,} bytes ({size / 1e6:.2f} MB)   "
           f"flops: {graph_mod.flops(g):.3f} B")
-    live = graph_mod.live_bytes(g)
-    total = [a + b for a, b in zip(live, graph_mod.scratch_bytes(g))]
+    live, total = g.plan.live, [a + b for a, b in zip(g.plan.live, g.plan.scratch)]
     maps, peak = (max(range(len(v)), key=v.__getitem__) for v in (live, total))
     print(f"live maps: at most {live[maps] / 1e6:.2f} MB, while layer {maps} runs; "
           f"with conv2d's scratch, {total[peak] / 1e6:.2f} MB, while layer {peak} runs")
-    runs = [f"{a}{f'-{m - 1}' if m - 1 > a else ''} into {m}"
-            for a, m in graph_mod._runs(g).items()]
+    runs = [f"{a}{f'-{m - 1}' if m - 1 > a else ''} into {m}" for a, m in g.plan.runs.items()]
     print("streams: " + (f"layers {', '.join(runs)}" if runs else "none"))
     threads = tensor.blas_thread_count()
     print(f"blas: {_blas_name()}, " + (f"{threads} threads" if threads is not None

@@ -251,6 +251,8 @@ def _read(sec: Section, f: tuple, index: int):
             raise ConfigError(f"unknown activation {v!r}", sec.lines[key])
         return v
     flat = v if isinstance(v, tuple) else (v,)  # a one-item list parses as a scalar
+    if not flat:  # "key=," parses as an empty list
+        raise _bad(sec, key, "a non-empty list", v)
     if kind == tuple[int, ...]:
         if not all(isinstance(r, int) for r in flat):
             raise _bad(sec, key, "integers", v)

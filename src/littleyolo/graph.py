@@ -1,9 +1,10 @@
 """Network graph: build from layer specs, infer shapes, run the forward pass.
 
 build_graph resolves every layer's inputs, output shape and the outputs whose
-last consumer it is, once, up front; forward then just executes layers in
-order and drops each intermediate after its last use. Shapes are (channels,
-height, width); layer index -1 denotes the network input.
+last consumer it is, once, up front; a graph works out its Plan from those
+shapes once, on first use. forward then just executes the plan's steps and
+drops each intermediate after its last use. Shapes are (channels, height,
+width); layer index -1 denotes the network input.
 
 forward marks the input rows that repeat the row above (repeated_rows: the
 gray pad rows of a landscape frame's letterbox) and carries each output's
@@ -14,8 +15,8 @@ the row the conv would compute there.
 
 forward streams runs: each maximal run of conv and shortcut layers whose
 maps hold at least BAND_BYTES each, up to the first conv after it, its
-consumer (_runs: layers 0-3 into 4 and 6-7 into 8 at 640, layer 0 into 1
-and 2-3 into 4 at 416). Each step makes the consumer's next band of rows;
+consumer (Plan.runs: layers 0-3 into 4 and 6-7 into 8 at 640, layer 0 into
+1 and 2-3 into 4 at 416). Each step makes the consumer's next band of rows;
 each streamed layer makes just the rows the step needs, into a fixed buffer
 of the rows its readers have yet to read, so no streamed map is held whole.
 Maps made before a run (its input, a shortcut's source) are read whole.
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +74,36 @@ class NetworkGraph:
     def is_populated(self) -> bool:
         return all(l.params is not None for l in self.layers
                    if isinstance(l.spec, Convolutional))
+
+    @cached_property
+    def plan(self) -> Plan:
+        """forward's plan, worked out on first use and kept: shapes never change
+        after build_graph. Threads sharing a graph may each work it out (no lock
+        on Python >= 3.12), but it is a pure function of the shapes: all equal."""
+        runs, steps, live, i = _runs(self), [], [], 0
+        itemsize = np.dtype(FLOAT).itemsize
+        size = {NET_INPUT: math.prod(self.input_shape) * itemsize}  # each map held
+        held, rows = size[NET_INPUT], {l.index: l.out_shape[1] for l in self.layers}
+        while i < len(self.layers):
+            run = self.layers[i:runs.get(i, i) + 1]
+            l, schedule, bufs = run[-1], _run_plan(self, run) if i in runs else None, 0
+            # a yolo head or a shortcut added in place takes over its input's array
+            taken = isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l)
+            size[l.index] = size.pop(l.inputs[0]) if taken else math.prod(l.out_shape) * itemsize
+            held += 0 if taken else size[l.index]
+            if schedule:  # a streamed layer's conv calls make the rows of one step
+                made = [dict.fromkeys(rows, 0)] + [need for need, _ in schedule[0]]
+                for j in [r.index for r in run[:-1]]:
+                    rows[j] = max(b[j] - a[j] for a, b in zip(made, made[1:]))
+                bufs = sum(math.prod(shape) for shape in schedule[2].values()) * itemsize
+            steps.append((run, schedule))
+            live += [held + bufs] * len(run)
+            held -= sum(size.pop(ref, 0) for x in run for ref in x.frees)
+            i = l.index + 1
+        return Plan(steps, runs, live, [
+            tensor.conv_scratch_bytes(l.in_channels, l.spec.filters, l.spec.size,
+                                      rows[l.index], l.out_shape[2])
+            if isinstance(l.spec, Convolutional) else 0 for l in self.layers])
 
 
 def build_graph(specs: list[NetParams | LayerSpec]) -> NetworkGraph:
@@ -207,15 +240,6 @@ def _runs(graph: NetworkGraph) -> dict[int, int]:
     return runs
 
 
-def _steps(graph: NetworkGraph):
-    """forward's steps: each run (_runs) with its consumer, every other layer
-    alone, as lists of layers."""
-    runs, i = _runs(graph), 0
-    while i < len(graph.layers):
-        yield graph.layers[i:runs.get(i, i) + 1]
-        i = runs.get(i, i) + 1
-
-
 def _run_plan(graph: NetworkGraph, run: list[Layer]):
     """(steps, store, shapes) of a run of streamed layers and its consumer,
     run[-1]. Step t makes the consumer's next band of rows (its
@@ -257,16 +281,31 @@ def _run_plan(graph: NetworkGraph, run: list[Layer]):
     return steps, store, shapes
 
 
-def _run(graph: NetworkGraph, run: list[Layer], live: dict[int, np.ndarray],
+class Plan(NamedTuple):
+    """A graph's forward plan, from its shapes alone (NetworkGraph.plan).
+
+    steps: (layers, schedule) in forward's order: each run (runs, {first
+    layer: consumer}, from _runs) with its consumer and _run_plan schedule,
+    every other layer alone with None. live: per layer, bytes of the float32
+    maps held while it runs (the input and outputs not yet freed, its own, a
+    run's buffers). scratch: per layer, conv2d's float64 bytes for its largest
+    call, the whole map or a streamed layer's most rows a step; 0 if no conv."""
+    steps: list[tuple[list[Layer], tuple | None]]
+    runs: dict[int, int]
+    live: list[int]
+    scratch: list[int]
+
+
+def _run(run: list[Layer], schedule: tuple, live: dict[int, np.ndarray],
          repeats: dict[int, np.ndarray]) -> np.ndarray:
     """The consumer run[-1]'s output, made by streaming the layers before it
-    (_run_plan) from the maps in live.
+    by their schedule (_run_plan) from the maps in live.
 
     Each streamed map lives in a fixed buffer of the rows its readers still
     need; kept rows move to the front before new rows are written after them.
     """
     m = run[-1].index
-    steps, store, shapes = _run_plan(graph, run)
+    steps, store, shapes = schedule
     bufs = {**{b: live[b] for b in store if b < run[0].index},
             **{b: np.empty(shape, FLOAT) for b, shape in shapes.items()}}
     lo = dict.fromkeys(bufs, 0)  # each buffer's first row
@@ -318,15 +357,15 @@ def forward(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
     del x
     repeats = {NET_INPUT: repeated_rows(live[NET_INPUT])}
     heads: dict[int, np.ndarray] = {}
-    for run in _steps(graph):
+    for run, schedule in graph.plan.steps:
         layer = run[-1]
         spec = layer.spec
         src = [live.get(r) for r in layer.inputs]  # a consumer's input is streamed
         # conv and shortcut outputs are this layer's own: activate them in place
-        if len(run) > 1:
+        if schedule:
             for l in run[:-1]:
                 repeats[l.index] = _output_repeats(l, [repeats[r] for r in l.inputs])
-            out = _run(graph, run, live, repeats)
+            out = _run(run, schedule, live, repeats)
         elif isinstance(spec, Convolutional):
             out = tensor.activate(tensor.conv2d(src[0], layer.params,
                                                 repeats[layer.inputs[0]]),
@@ -368,53 +407,13 @@ def flops(graph: NetworkGraph) -> float:
                if isinstance(l.spec, Convolutional)) / 1e9
 
 
-def live_bytes(graph: NetworkGraph) -> list[int]:
-    """Bytes of the float32 maps forward holds while each layer runs: the
-    layer's output plus the input and every earlier output not yet freed.
-
-    While a run streams, that is those maps, the run's buffers and its
-    consumer's output. An output that is its input's array (a yolo
-    passthrough, a shortcut added in place) takes over that array's bytes.
-    conv2d's buffers are not counted (scratch_bytes).
-    """
-    itemsize = np.dtype(FLOAT).itemsize
-    size = {NET_INPUT: math.prod(graph.input_shape) * itemsize}
-    held, live = size[NET_INPUT], []
-    for run in _steps(graph):
-        l = run[-1]
-        if isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l):
-            size[l.index] = size.pop(l.inputs[0])
-        else:
-            size[l.index] = math.prod(l.out_shape) * itemsize
-            held += size[l.index]
-        bufs = sum(math.prod(s) for s in _run_plan(graph, run)[2].values()) if run[:-1] else 0
-        live += [held + bufs * itemsize] * len(run)
-        held -= sum(size.pop(r, 0) for l in run for r in l.frees)
-    return live
-
-
-def scratch_bytes(graph: NetworkGraph) -> list[int]:
-    """Bytes of conv2d's float64 buffers while each layer runs
-    (tensor.conv_scratch_bytes) for conv layers, else 0: those of a whole-map
-    call, or of a streamed layer's largest call, the most rows one step
-    makes (_run_plan)."""
-    rows = {l.index: l.out_shape[1] for l in graph.layers}
-    for run in (run for run in _steps(graph) if run[:-1]):
-        made = [dict.fromkeys(rows, 0)] + [need for need, _ in _run_plan(graph, run)[0]]
-        for l in run[:-1]:
-            rows[l.index] = max(b[l.index] - a[l.index] for a, b in zip(made, made[1:]))
-    return [tensor.conv_scratch_bytes(l.in_channels, l.spec.filters, l.spec.size,
-                                      rows[l.index], l.out_shape[2])
-            if isinstance(l.spec, Convolutional) else 0 for l in graph.layers]
-
-
 def layer_table(graph: NetworkGraph) -> str:
     """Human-readable per-layer table: index, type, filters, size/stride,
     params and GFLOP (conv layers, as param_count and flops() count them),
-    live MB (live_bytes / 1e6), output."""
+    live MB (Plan.live / 1e6), output."""
     rows = [f"{'idx':>3}  {'type':<13} {'filters':>7}  {'size/stride':>11}  "
             f"{'params':>9}  {'GFLOP':>6}  {'live MB':>7}  output"]
-    for l, held in zip(graph.layers, live_bytes(graph)):
+    for l, held in zip(graph.layers, graph.plan.live):
         spec = l.spec
         name = type(spec).__name__.lower()
         filt = size = params = gflop = ""

@@ -278,6 +278,13 @@ class TestAgainstOracles:
 
 
 class TestClusterAnchors:
+    def test_unknown_distance_and_no_restarts_rejected(self):
+        dims = np.array([[0.1, 0.1], [0.2, 0.3], [0.4, 0.2]])
+        with pytest.raises(ValueError, match="unknown distance 'manhattan'"):
+            cluster_anchors(dims, k=2, distance="manhattan", seed=0)
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            cluster_anchors(dims, k=2, seed=0, restarts=0)
+
     def test_k_beyond_distinct_raises_before_any_distance(self, monkeypatch):
         calls = []
         monkeypatch.setattr(anchors, "_distance_matrix", lambda *a: calls.append(a))

@@ -168,6 +168,33 @@ class TestDetect:
                                "--input", str(tiny_setup["dir"]))
         assert code == 1 and "--output" in err
 
+    def test_directory_without_images(self, capsys, tiny_setup):
+        empty = tiny_setup["dir"] / "empty"
+        empty.mkdir()
+        code, _, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
+                               "--weights", tiny_setup["weights"], "--input", str(empty),
+                               "--output", str(tiny_setup["dir"] / "out"))
+        assert code == 1 and f"no images found in {empty}" in err
+
+    def test_cfg_without_heads(self, capsys, tiny_setup):
+        cfg = tiny_setup["dir"] / "headless.cfg"
+        cfg.write_text("[net]\nwidth=8\nheight=8\nchannels=3\n\n"
+                       "[convolutional]\nfilters=2\nsize=1\n")
+        g = build_graph(load_config(cfg))
+        init_random(g, seed=0)
+        save_weights_file(g, tiny_setup["dir"] / "headless.weights")
+        code, _, err = run_cli(capsys, "detect", "--cfg", str(cfg),
+                               "--weights", str(tiny_setup["dir"] / "headless.weights"),
+                               "--input", tiny_setup["image"])
+        assert code == 1 and "config has no yolo heads; nothing to detect" in err
+
+    def test_empty_names_file(self, capsys, tiny_setup):
+        names = tiny_setup["dir"] / "names.txt"
+        names.write_text("\n  \n")
+        code, _, err = run_cli(capsys, "anchors", "--input", str(tiny_setup["dir"]),
+                               "--names", str(names))
+        assert code == 1 and f"names file {names} is empty" in err
+
     def test_missing_weights_file(self, capsys, tiny_setup):
         code, _, err = run_cli(capsys, "detect", "--cfg", tiny_setup["cfg"],
                                "--weights", str(tiny_setup["dir"] / "no.w"),

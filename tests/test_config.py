@@ -177,6 +177,18 @@ class TestLower:
         with pytest.raises(ConfigError, match="line 8: .*'mask' must be integers"):
             lower(bad)
 
+    @pytest.mark.parametrize("section, key, line", [
+        ("[route]\nlayers=,", "layers", 10),
+        ("[yolo]\nclasses=1\nmask=0\nanchors=,", "anchors", 12),
+        ("[yolo]\nclasses=1\nmask=,\nanchors=4,4", "mask", 11)])
+    def test_empty_list_named_with_its_line(self, section, key, line):
+        # "key=," parses as an empty list; a route of no layers, a yolo of no
+        # anchors or an empty mask would fail later, in build_graph, unnamed
+        bad = "[net]\nwidth=8\nheight=8\nchannels=1\n\n[convolutional]\nfilters=6\n\n"
+        with pytest.raises(ConfigError, match=rf"line {line}: .*'{key}' must be a "
+                                              r"non-empty list, got \(\)"):
+            lower(bad + section + "\n")
+
     def test_shortcut_resolution(self):
         _, specs = lower(MINI + "\n[shortcut]\nfrom=-3\nactivation=linear\n")
         assert specs[4] == Shortcut(from_layer=1, activation="linear")

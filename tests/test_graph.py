@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from littleyolo import graph as graph_mod
 from littleyolo import pipeline, tensor
+from littleyolo.cli import main
 from littleyolo.config import (Convolutional, Maxpool, NetParams, Route,
                                Shortcut, Upsample, Yolo, load_config,
                                reference_config_path)
 from littleyolo.graph import (GraphError, build_graph, flops, forward,
-                              layer_flops, layer_table, live_bytes, model_bytes,
-                              param_count, scratch_bytes)
+                              layer_flops, layer_table, model_bytes, param_count)
 from littleyolo.tensor import ShapeError, conv_output_size, shortcut_add
 from littleyolo.weights import init_random
 from oracles import forward_seed, layer_outputs_seed
@@ -507,6 +507,29 @@ def no_repeats(x):
 FRAMES = [(640, 480), (1280, 720), (480, 640)]  # 4:3, 16:9, portrait
 
 
+def spy_masks(mp):
+    """{layer index: the repeat mask forward carries for its output}, filled
+    in as forward runs under mp."""
+    masks, output_repeats = {}, graph_mod._output_repeats
+
+    def spy(layer, inputs):
+        masks[layer.index] = mask = output_repeats(layer, inputs)
+        return mask
+    mp.setattr(graph_mod, "_output_repeats", spy)
+    return masks
+
+
+def assert_masks_claim_only_equal_rows(g, masks, outputs):
+    """Each layer's mask marks only rows bitwise equal to the row above in
+    outputs, the seed oracle's (layer_outputs_seed)."""
+    assert sorted(masks) == [l.index for l in g.layers]
+    for i, out in enumerate(outputs):
+        assert masks[i].shape == (out.shape[1] - 1,)
+        bits = out.view(np.uint32)
+        for y in np.flatnonzero(masks[i]):
+            assert (bits[:, y + 1] == bits[:, y]).all(), f"layer {i} row {y + 1}"
+
+
 class TestRepeatedRows:
     """forward computes each run of repeated letterbox rows once."""
 
@@ -541,23 +564,10 @@ class TestRepeatedRows:
                                          width, height):
         # every layer's mask, against the seed oracle's output of that layer
         g = ref_graph_randomized
-        masks = {}
-        output_repeats = graph_mod._output_repeats
-
-        def spy(layer, inputs):
-            masks[layer.index] = mask = output_repeats(layer, inputs)
-            return mask
-
-        monkeypatch.setattr(graph_mod, "_output_repeats", spy)
+        masks = spy_masks(monkeypatch)
         x = letterboxed(g, width, height)
         forward(g, x)
-        outputs = layer_outputs_seed(g, x)
-        assert sorted(masks) == [l.index for l in g.layers]
-        for i, out in enumerate(outputs):
-            assert masks[i].shape == (out.shape[1] - 1,)
-            bits = out.view(np.uint32)
-            for y in np.flatnonzero(masks[i]):
-                assert (bits[:, y + 1] == bits[:, y]).all(), f"layer {i} row {y + 1}"
+        assert_masks_claim_only_equal_rows(g, masks, layer_outputs_seed(g, x))
         # A landscape frame's pad rows repeat down to the 52x52 maps (layer
         # 8). A portrait frame pads columns: only the upsample's copies of
         # each source row repeat, and its route with layer 14 ends them.
@@ -660,9 +670,12 @@ def stem_cases(draw):
     net, then a 1x1 conv and a yolo head. The chain draws convs (1x1 or 3x3,
     stride 1 or 2, batch norm or not, leaky or linear), maxpools (size 2-5,
     stride 1-2), shortcuts to and routes with earlier layers of the same
-    shape, x2 upsamples (of maps up to 32 px), and at most one more head, a
-    1x1 conv and yolo off the chain, after which a route resumes the chain.
-    The frame is wider than the net, so its letterbox has pad rows."""
+    shape, x2 upsamples (of maps up to 32 px), hourglasses (a stride-2 conv
+    and a x2 upsample back to an even shape, routed first with the layer
+    before them: the upsample repeats rows in pairs that layer does not), and
+    at most one more head, a 1x1 conv and yolo off the chain, after which a
+    route resumes the chain. The frame is wider than the net, so its
+    letterbox has pad rows."""
     net_w, net_h = draw(st.integers(8, 64)), draw(st.integers(8, 64))
     sections = [f"[net]\nwidth={net_w}\nheight={net_h}\nchannels=3"]
     h, w, shapes = net_h, net_w, []  # shapes[j]: layer j's (h, w), None for a head's
@@ -673,7 +686,7 @@ def stem_cases(draw):
         prev = len(shapes) - 1
         same = [j for j, shape in enumerate(shapes) if shape == (h, w)]
         kind = draw(st.sampled_from(["conv", "conv", "shortcut", "maxpool", "route",
-                                     "upsample", "head"]))
+                                     "upsample", "hourglass", "head"]))
         if kind == "shortcut" and same:
             sections.append(f"[shortcut]\nfrom={draw(st.sampled_from(same))}\n"
                             f"activation={act}")
@@ -688,6 +701,10 @@ def stem_cases(draw):
         elif kind == "upsample" and max(h, w) <= 32:
             sections.append("[upsample]\nstride=2")
             h, w = 2 * h, 2 * w
+        elif kind == "hourglass" and shapes and h % 2 == w % 2 == 0:
+            sections += [conv_section(draw, 2)[1], "[upsample]\nstride=2",
+                         f"[route]\nlayers=-1,{prev}"]
+            shapes += [(h // 2, w // 2), (h, w)]
         elif kind == "head" and same and None not in shapes:
             sections += [head, f"[route]\nlayers={prev}"]
             shapes += [None, None]
@@ -763,9 +780,9 @@ class TestStem:
         # at 640 layers 0-3 hold 13.1-26.2 MB each, layer 4 3.3 MB, layer 5
         # 6.6 MB and layers 6-7 13.1 MB; at 416 layer 0 holds 11.1 MB, layer 1
         # 5.5 MB and layers 2-3 11.1 MB
-        assert graph_mod._runs(ref_graph_randomized_640) == {0: 4, 6: 8}
-        assert graph_mod._runs(ref_graph_416) == {0: 1, 2: 4}
-        assert graph_mod._runs(tiny_graph) == graph_mod._runs(mixed_graph()) == {}
+        assert ref_graph_randomized_640.plan.runs == {0: 4, 6: 8}
+        assert ref_graph_416.plan.runs == {0: 1, 2: 4}
+        assert tiny_graph.plan.runs == mixed_graph().plan.runs == {}
 
     def test_rule_cut_back_to_a_conv_consumer_no_later_layer_reads_past(self):
         # Every map taken. SHORTCUT_CFG: the first run of conv and shortcut
@@ -775,8 +792,8 @@ class TestStem:
         # and convs 6 and 11 feed yolo heads, so nothing streams.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_mod, "_streams", lambda layer: True)
-            assert graph_mod._runs(mixed_graph(cfg=SHORTCUT_CFG)) == {0: 1, 6: 10}
-            assert graph_mod._runs(mixed_graph()) == {}
+            assert mixed_graph(cfg=SHORTCUT_CFG).plan.runs == {0: 1, 6: 10}
+            assert mixed_graph().plan.runs == {}
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -789,23 +806,19 @@ class TestStem:
         "[convolutional]\nfilters=6\nsize=1\nstride=1\nactivation=linear\n\n"
         "[yolo]\nmask=0\nanchors=4,4\nclasses=1\n", 40, 20), 8, 1, 0)
     def test_streamed_heads_equal_seed_and_unstreamed(self, case, streamed, band, seed):
-        # whole: the pass with no run streamed and no row marked
+        # whole: the pass with no run streamed and no row marked. Each pass
+        # builds its own graph, so that its plan is worked out under its rule.
         cfg, frame_w, frame_h = case
-        g = mixed_graph(seed, cfg)
-        x = letterboxed(g, frame_w, frame_h, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_mod, "_streams", lambda layer: layer.index < streamed)
             if band is not None:  # stem steps and conv bands of `band` rows
                 mp.setattr(tensor, "_band_rows", lambda c, k, oh, ow: min(band, oh))
-            assume(graph_mod._runs(g))
+            g = mixed_graph(seed, cfg)
+            assume(g.plan.runs)
+            x = letterboxed(g, frame_w, frame_h, seed)
+            masks = spy_masks(mp)
             heads = forward(g, x)
-            mp.setattr(graph_mod, "_streams", lambda layer: False)
-            mp.setattr(graph_mod, "repeated_rows", no_repeats)
-            whole = forward(g, x)
-        want = forward_seed(g, x)
-        assert sorted(heads) == sorted(whole) == sorted(want)
-        for i in want:
-            assert heads[i].tobytes() == want[i].tobytes() == whole[i].tobytes()
+        assert_heads_equal_seed_and_unstreamed(g, x, heads, masks)
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -820,38 +833,75 @@ class TestStem:
         # the run reads the prefix's last map whole, as its input or as a
         # shortcut's source, or both
         cfg, frame_w, frame_h, first = case
-        g = mixed_graph(seed, cfg)
-        x = letterboxed(g, frame_w, frame_h, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_mod, "_streams", lambda layer: False)
-            whole = forward(g, x)
             mp.setattr(graph_mod, "_streams", lambda layer: layer.index >= first)
             if band is not None:  # run steps and conv bands of `band` rows
                 mp.setattr(tensor, "_band_rows", lambda c, k, oh, ow: min(band, oh))
-            assert graph_mod._runs(g) == {first: len(g.layers) - 2}
+            g = mixed_graph(seed, cfg)
+            assert g.plan.runs == {first: len(g.layers) - 2}
+            x = letterboxed(g, frame_w, frame_h, seed)
+            masks = spy_masks(mp)
             heads = forward(g, x)
-        want = forward_seed(g, x)
-        assert sorted(heads) == sorted(whole) == sorted(want)
-        for i in want:
-            assert heads[i].tobytes() == want[i].tobytes() == whole[i].tobytes()
+        assert_heads_equal_seed_and_unstreamed(g, x, heads, masks)
+
+    @pytest.mark.parametrize("size", [416, 640])
+    def test_plan_worked_out_once(self, size, capsys, monkeypatch):
+        # two forwards, the layer table and info each read the plan; info
+        # builds a graph of its own
+        calls, run_plan = [], graph_mod._run_plan
+
+        def counted(graph, run):
+            calls.append((id(graph), run[0].index))
+            return run_plan(graph, run)
+        monkeypatch.setattr(graph_mod, "_run_plan", counted)
+        g = build_graph(load_config(reference_config_path(size)))
+        init_random(g, seed=0)
+        x = np.zeros(g.input_shape, np.float32)
+        forward(g, x)
+        forward(g, x)
+        layer_table(g)
+        assert calls == [(id(g), first) for first in g.plan.runs] and len(calls) == 2
+        assert main(["info", "--size", str(size)]) == 0
+        assert len(calls) == 4 and len(set(calls)) == 4
 
     def test_reference_640_buffers(self, ref_graph_randomized_640):
         # Layer 4 makes 11 rows a step (its 8 MB column band), and its first
         # step reads 22 rows of layer 3. Layer 3 adds in place into layer 2's
         # buffer, which holds 23 rows: the stride-2 windows of the next step
         # start one row back. Likewise layer 1 holds 24 rows, layer 0 46.
-        layers = ref_graph_randomized_640.layers
-        steps, store, shapes = graph_mod._run_plan(ref_graph_randomized_640, layers[:5])
+        plans = [(run[0].index, run[-1].index, schedule)
+                 for run, schedule in ref_graph_randomized_640.plan.steps if schedule]
+        assert [p[:2] for p in plans] == [(0, 4), (6, 8)]
+        steps, store, shapes = plans[0][2]
         assert len(steps) == 15 and steps[0][0] == {0: 46, 1: 23, 2: 22, 3: 22, 4: 11}
         assert store == {-1: -1, 0: 0, 1: 1, 2: 2, 3: 2}
         assert shapes == {0: (16, 46, 640), 1: (32, 24, 320), 2: (64, 23, 320)}
         # Layers 6-7 into layer 8, 11 rows a step as well: layer 5 (the
         # input) and layer 4 (shortcut 7's source) are read whole, and
         # shortcut 7 adds in place into layer 6's 23-row buffer.
-        steps, store, shapes = graph_mod._run_plan(ref_graph_randomized_640, layers[6:9])
+        steps, store, shapes = plans[1][2]
         assert len(steps) == 8 and steps[0][0] == {6: 22, 7: 22, 8: 11}
         assert store == {4: 4, 5: 5, 6: 6, 7: 6}
         assert shapes == {6: (128, 23, 160)}
+
+
+def assert_heads_equal_seed_and_unstreamed(g, x, heads, masks):
+    """heads and masks, forward's on g (spy_masks): the heads equal the seed
+    oracle's and those of a pass that streams no run and marks no row, on a
+    graph of its own, whose plan streams none; each mask claims only equal
+    rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "_streams", lambda layer: False)
+        mp.setattr(graph_mod, "repeated_rows", no_repeats)
+        whole_graph = dataclasses.replace(g, layers=list(g.layers))
+        assert whole_graph.plan.runs == {}
+        whole = forward(whole_graph, x)
+    outputs = layer_outputs_seed(g, x)
+    want = {l.index: outputs[l.index] for l in g.yolo_layers}
+    assert sorted(heads) == sorted(whole) == sorted(want)
+    for i in want:
+        assert heads[i].tobytes() == want[i].tobytes() == whole[i].tobytes()
+    assert_masks_claim_only_equal_rows(g, masks, outputs)
 
 
 def traced_forward_peak(graph):
@@ -888,14 +938,14 @@ class TestReporting:
         assert sum(params.values()) == param_count(ref_graph_416) == 12_455_962
         assert ("shortcut            1                                     8.79  64 x 208 x 208"
                 in table)
-        # live MB is live_bytes. Layer 0 is streamed into layer 1, which makes
+        # live MB is plan.live. Layer 0 is streamed into layer 1, which makes
         # 35 rows a step (its 8 MB column band) from 71 rows of layer 0: while
         # either runs, forward holds the 3x416x416 input, a 16x71x416 buffer
         # and layer 1's whole 32x208x208 output. Layers 2-3 are streamed into
         # layer 4, 17 rows a step: forward holds layer 1's output (shortcut
         # 3's source), a 64x35x208 buffer and layer 4's 32x104x104 output.
         live = [float(line.split()[-6]) for line in lines[1:]]
-        assert live == [round(b / 1e6, 2) for b in live_bytes(ref_graph_416)]
+        assert live == [round(b / 1e6, 2) for b in ref_graph_416.plan.live]
         first = (3 * 416 * 416 + 16 * 71 * 416 + 32 * 208 * 208) * 4
         second = (32 * 208 * 208 + 64 * 35 * 208 + 32 * 104 * 104) * 4
         assert live[:5] == [round(first / 1e6, 2)] * 2 + [round(second / 1e6, 2)] * 3
@@ -903,7 +953,7 @@ class TestReporting:
     @pytest.mark.parametrize("fixture", ["ref_graph_randomized", "ref_graph_randomized_640"])
     def test_maps_and_scratch_match_traced_peak(self, fixture, request):
         g = request.getfixturevalue(fixture)
-        figure = max(a + b for a, b in zip(live_bytes(g), scratch_bytes(g)))
+        figure = max(a + b for a, b in zip(g.plan.live, g.plan.scratch))
         peak = traced_forward_peak(g)
         assert abs(figure - peak) <= 1e6, f"{figure / 1e6:.2f} vs {peak / 1e6:.2f} MB"
 
@@ -911,7 +961,7 @@ class TestReporting:
         # layer 16: its 1024 filters make four equal 9.4 MB float64 weight
         # blocks, and its 4608 x 169 columns and 1024 x 169 product are one
         # band
-        scratch = scratch_bytes(ref_graph_416)
+        scratch = ref_graph_416.plan.scratch
         assert scratch[16] == 8 * (256 * 4608 + (4608 + 1024) * 169)
         # streamed layer 0 makes at most 70 rows a call (layer 1's 35-row
         # steps at stride 2), within its own 93-row band
@@ -926,7 +976,7 @@ class TestReporting:
         # The yolo heads take over their inputs' bytes and are never freed.
         inp, c0, c1, c2, c3 = 3 * 32 * 32 * 4, 16 * 16 * 4, 8 * 8 * 4, 4 * 4 * 4, 14 * 16 * 4
         up, c7 = 8 * 8 * 4, 14 * 8 * 8 * 4
-        assert live_bytes(tiny_graph) == [
+        assert tiny_graph.plan.live == [
             inp + c0,          # 0 reads the input, last
             c0 + c1,           # 1 frees 0
             c1 + c2,           # 2 frees 1

@@ -33,6 +33,11 @@ class TestPPM:
         with pytest.raises(ImageError, match="P6"):
             decode_ppm(b"P5\n1 1\n255\n\x00")
 
+    @pytest.mark.parametrize("data", [b"P6", b"P6\n4 4", b"P6 4 4 # no maxval\n"])
+    def test_header_cut_short(self, data):
+        with pytest.raises(ImageError, match="unexpected end of PPM header"):
+            decode_ppm(data)
+
     def test_wrong_maxval(self):
         with pytest.raises(ImageError, match="255"):
             decode_ppm(b"P6\n1 1\n65535\n" + bytes(6))
@@ -96,6 +101,11 @@ class TestTensorConversion:
         assert t[0, 0, 0] == pytest.approx(1.0)   # red 255
         assert t[2, 1, 1] == pytest.approx(1.0)   # blue 255
 
+    @pytest.mark.parametrize("shape", [(4, 6), (4, 6, 4)])
+    def test_to_chw_float_wants_three_channels(self, shape):
+        with pytest.raises(ImageError, match=r"expected \(H, W, 3\) image"):
+            to_chw_float(np.zeros(shape, np.uint8))
+
 
 class TestAnnotate:
     def det(self, box, conf=0.87, name="car"):
@@ -114,6 +124,10 @@ class TestAnnotate:
         img = np.zeros((16, 16, 3), dtype=np.uint8)
         out = annotate(img, [self.det((-10, -10, 100, 100))])
         assert out.shape == img.shape
+
+    def test_box_outside_the_image_draws_nothing(self):
+        img = checker(16, 16)
+        np.testing.assert_array_equal(annotate(img, [self.det((20, 20, 30, 30))]), img)
 
     def test_no_detections_is_copy(self):
         img = checker(16, 16)

@@ -13,6 +13,8 @@ from conftest import (PLANTED_BOX, PLANTED_CONFIDENCE, PLANTED_SIGMA9,
 from littleyolo import pipeline
 from littleyolo.imaging import to_chw_float
 from littleyolo.boxes import BBox, iou
+from littleyolo.config import lower_to_specs, parse_config
+from littleyolo.graph import build_graph
 from littleyolo.pipeline import (Detection, LetterboxTransform,
                                  RawDetections, decode_yolo, detect,
                                  detection_to_dict, filter_confidence,
@@ -70,6 +72,11 @@ class TestLetterbox:
         np.testing.assert_array_equal(canvas, x)
         assert t == LetterboxTransform(scale=1.0, pad_x=0.0, pad_y=0.0,
                                        orig_w=416, orig_h=416)
+
+    @pytest.mark.parametrize("shape, net", [((3, 0, 4), 8), ((3, 4, 4), 0)])
+    def test_degenerate_geometry(self, shape, net):
+        with pytest.raises(ShapeError, match="degenerate letterbox geometry"):
+            letterbox(np.zeros(shape, np.float32), net, 8)
 
     def test_wide_image_pads_rows(self):
         x = np.ones((3, 416, 832), dtype=np.float32)
@@ -385,6 +392,16 @@ class TestNMSAgainstOracle:
 
 
 class TestDetect:
+    def test_heads_must_agree_on_class_count(self):
+        # conv 1 feeds a 1-class head, conv 4 (reading layer 0 again) a 2-class one
+        head = "[yolo]\nmask=0\nanchors=4,4\nclasses={}"
+        g = build_graph(lower_to_specs(parse_config("\n\n".join([
+            "[net]\nwidth=8\nheight=8\nchannels=3", "[convolutional]\nfilters=4",
+            "[convolutional]\nfilters=6", head.format(1), "[route]\nlayers=0",
+            "[convolutional]\nfilters=7", head.format(2)]))))
+        with pytest.raises(ShapeError, match="yolo layers disagree on class count"):
+            detect(g, np.zeros((3, 8, 8), np.float32))
+
     def test_planted_single_detection(self, planted_tiny):
         dets = detect(planted_tiny, planted_image())
         assert len(dets) == 1
@@ -499,7 +516,6 @@ class TestDetect:
 
     def test_headless_graph_rejected(self):
         from littleyolo.config import Convolutional, NetParams
-        from littleyolo.graph import build_graph
         g = build_graph([NetParams(width=8, height=8, channels=3),
                          Convolutional(filters=2, size=1, activation="linear")])
         with pytest.raises(ShapeError, match="yolo"):

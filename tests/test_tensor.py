@@ -662,3 +662,38 @@ def test_conv_shape_property(c_in, k, stride, padding, h, w):
     out = conv2d(x, p)
     assert out.shape == (2, conv_output_size(h, k, stride, padding),
                          conv_output_size(w, k, stride, padding))
+
+
+class TestArgumentChecks:
+    ONE = np.ones(2, np.float32)
+
+    @pytest.mark.parametrize("change, error, match", [
+        (dict(weights=np.ones((2, 1, 3, 2), np.float32)), ShapeError, r"\(n, c_in, k, k\)"),
+        (dict(bias=np.zeros(3, np.float32)), ShapeError, r"bias must have shape \(2,\)"),
+        (dict(stride=0), ValueError, "stride must be >= 1, got 0"),
+        (dict(padding=4), ValueError, r"padding must be in \[0, size\], got 4"),
+        (dict(padding=-1), ValueError, r"padding must be in \[0, size\], got -1"),
+        (dict(batch_norm=BatchNorm(gamma=ONE, mean=ONE, var=np.ones(3, np.float32))),
+         ShapeError, r"batch_norm.var must have shape \(2,\)")])
+    def test_conv_params(self, change, error, match):
+        good = dict(weights=np.ones((2, 1, 3, 3), np.float32), bias=self.ONE, padding=1)
+        with pytest.raises(error, match=match):
+            ConvParams(**{**good, **change})
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 3), np.float32), [[[0.0]]]])
+    def test_input_must_be_a_chw_array(self, x):
+        with pytest.raises(ShapeError, match=r"input must be a \(channels, height, width\)"):
+            upsample_nearest(x, 2)
+
+    @pytest.mark.parametrize("size, stride, padding, error, match", [
+        (0, 1, 0, ValueError, "size and stride must be >= 1, got 0, 1"),
+        (2, 0, 0, ValueError, "size and stride must be >= 1, got 2, 0"),
+        (2, 1, 2, ShapeError, r"padding must be in \[0, size\), got 2 for size 2"),
+        (2, 1, -1, ShapeError, r"padding must be in \[0, size\), got -1")])
+    def test_maxpool_arguments(self, size, stride, padding, error, match):
+        with pytest.raises(error, match=match):
+            maxpool(np.zeros((1, 4, 4), np.float32), size, stride, padding)
+
+    def test_upsample_factor(self):
+        with pytest.raises(ValueError, match="factor must be >= 1, got 0"):
+            upsample_nearest(np.zeros((1, 2, 2), np.float32), 0)

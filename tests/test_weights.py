@@ -212,6 +212,11 @@ class TestInitRandom:
 
 
 class TestErrors:
+    def test_unpopulated_graph_not_saved(self, tiny_graph, tmp_path):
+        with pytest.raises(WeightsError, match="layer 0 has no parameters"):
+            save_weights_file(tiny_graph, tmp_path / "w.weights")
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated(self, tiny_populated):
         blob = save_weights(tiny_populated)
         with pytest.raises(WeightsError, match="bytes"):
