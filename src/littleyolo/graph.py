@@ -13,13 +13,12 @@ repeated rows once. Only whole rows count: the pad columns of a portrait
 frame are not skipped. The heads do not change, as each copied row equals
 the row the conv would compute there.
 
-forward streams runs: each maximal run of conv and shortcut layers whose
-maps hold at least BAND_BYTES each, up to the first conv after it, its
-consumer (Plan.runs: layers 0-3 into 4 and 6-7 into 8 at 640, layer 0 into
-1 and 2-3 into 4 at 416). Each step makes the consumer's next band of rows;
-each streamed layer makes just the rows the step needs, into a fixed buffer
-of the rows its readers have yet to read, so no streamed map is held whole.
-Maps made before a run (its input, a shortcut's source) are read whole.
+forward streams runs of conv and shortcut layers into a conv, their
+consumer, chosen by the peak the plan models (_runs; Plan.runs: layers 0-3
+into 4 and 5-7 into 8 at 640, 0 into 1 and 2-3 into 4 at 416). Each step
+makes the consumer's next band of rows; each streamed layer makes just the
+rows the step needs, into a fixed buffer of the rows its readers have yet to
+read. Maps made before a run (its input, a shortcut's source) are read whole.
 perfbench names a traced conv span's layer by its input shape, so the slab
 calls of every run's readers (each streamed conv after a run's first layer,
 and each consumer) show as layer -1 (L-1) in its per-conv table, and those
@@ -80,30 +79,7 @@ class NetworkGraph:
         """forward's plan, worked out on first use and kept: shapes never change
         after build_graph. Threads sharing a graph may each work it out (no lock
         on Python >= 3.12), but it is a pure function of the shapes: all equal."""
-        runs, steps, live, i = _runs(self), [], [], 0
-        itemsize = np.dtype(FLOAT).itemsize
-        size = {NET_INPUT: math.prod(self.input_shape) * itemsize}  # each map held
-        held, rows = size[NET_INPUT], {l.index: l.out_shape[1] for l in self.layers}
-        while i < len(self.layers):
-            run = self.layers[i:runs.get(i, i) + 1]
-            l, schedule, bufs = run[-1], _run_plan(self, run) if i in runs else None, 0
-            # a yolo head or a shortcut added in place takes over its input's array
-            taken = isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l)
-            size[l.index] = size.pop(l.inputs[0]) if taken else math.prod(l.out_shape) * itemsize
-            held += 0 if taken else size[l.index]
-            if schedule:  # a streamed layer's conv calls make the rows of one step
-                made = [dict.fromkeys(rows, 0)] + [need for need, _ in schedule[0]]
-                for j in [r.index for r in run[:-1]]:
-                    rows[j] = max(b[j] - a[j] for a, b in zip(made, made[1:]))
-                bufs = sum(math.prod(shape) for shape in schedule[2].values()) * itemsize
-            steps.append((run, schedule))
-            live += [held + bufs] * len(run)
-            held -= sum(size.pop(ref, 0) for x in run for ref in x.frees)
-            i = l.index + 1
-        return Plan(steps, runs, live, [
-            tensor.conv_scratch_bytes(l.in_channels, l.spec.filters, l.spec.size,
-                                      rows[l.index], l.out_shape[2])
-            if isinstance(l.spec, Convolutional) else 0 for l in self.layers])
+        return _plan(self, _runs(self))
 
 
 def build_graph(specs: list[NetParams | LayerSpec]) -> NetworkGraph:
@@ -214,41 +190,66 @@ def _adds_in_place(layer: Layer) -> bool:
     return cur in layer.frees and cur not in (NET_INPUT, skip)
 
 
-def _streams(layer: Layer) -> bool:
-    """The runs' size rule: a map of at least BAND_BYTES."""
-    return math.prod(layer.out_shape) * np.dtype(FLOAT).itemsize >= tensor.BAND_BYTES
+def _new_bytes(l: Layer) -> int:
+    """Bytes of l's output array: 0 for a yolo head or a shortcut added in
+    place, which take over their input's."""
+    taken = isinstance(l.spec, Yolo) or isinstance(l.spec, Shortcut) and _adds_in_place(l)
+    return 0 if taken else math.prod(l.out_shape) * np.dtype(FLOAT).itemsize
+
+
+def _scratch(l: Layer, rows: int) -> int:
+    """conv2d's float64 bytes making rows of l (at 0 rows its weight block)."""
+    return tensor.conv_scratch_bytes(l.in_channels, l.spec.filters, l.spec.size, rows,
+                                     l.out_shape[2]) if isinstance(l.spec, Convolutional) else 0
+
+
+def _candidates(graph: NetworkGraph) -> list[tuple[int, int]]:
+    """(first layer, consumer) of each run forward may stream: conv and
+    shortcut layers f..m-1 into a conv m, none read after m, where each conv,
+    m included, has a float32 map at least as large as its float64 weight
+    block (a streamed conv casts its blocks again on each step's call)."""
+    layers, n = graph.layers, len(graph.layers)
+    last = {ref: l.index for l in layers for ref in l.inputs}
+    fits = [isinstance(l.spec, Shortcut) or (isinstance(l.spec, Convolutional)
+                                             and _new_bytes(l) >= _scratch(l, 0)) for l in layers]
+    return [(f, m) for f in range(n) for m in range(f + 1, n)
+            if all(fits[f:m + 1]) and isinstance(layers[m].spec, Convolutional)
+            and max(last.get(i, m + 1) for i in range(f, m)) <= m]
 
 
 def _runs(graph: NetworkGraph) -> dict[int, int]:
-    """{first layer: consumer} of each run forward streams: every maximal run
-    of conv and shortcut layers that _streams takes, cut back until the next
-    layer, its consumer, is a conv and no later layer reads inside the run."""
-    layers, runs, first = graph.layers, {}, 0
-    last = {ref: l.index for l in layers for ref in l.inputs}
-    while first < len(layers):
-        end = first
-        while end < len(layers) and isinstance(layers[end].spec, (Convolutional, Shortcut)) \
-                and _streams(layers[end]):
-            end += 1
-        m = end
-        while m > first and (m == len(layers) or not isinstance(layers[m].spec, Convolutional)
-                             or max(last.get(i, m + 1) for i in range(first, m)) > m):
-            m -= 1
-        if m > first:
-            runs[first] = m
-        first = end + 1
-    return runs
+    """{first layer: consumer} of the runs forward streams: of the sets of
+    disjoint _candidates, one with the lowest modelled peak, max(live +
+    scratch), then the fewest streamed layers. A run's maps die inside it, so
+    a layer outside every run costs the same whatever the runs: a prefix pass
+    finds the lowest peak exactly, and a second the fewest layers under it."""
+    whole, cost = _plan(graph, {}), {}
+    for f, m in _candidates(graph):  # the maps held before f, m's and the buffers
+        _, _, shapes, rows = _run_plan(graph, run := graph.layers[f:m + 1])
+        held = whole.live[f] - _new_bytes(run[0]) + _new_bytes(run[-1]) \
+            + sum(map(math.prod, shapes.values())) * np.dtype(FLOAT).itemsize
+        cost[f, m] = max(held + _scratch(l, rows[l.index]) for l in run)
+
+    def best(join):  # join(prefix's value, cost of a layer or run, layers streamed)
+        prefix = [(0, {})]
+        for i, own in enumerate(a + b for a, b in zip(whole.live, whole.scratch)):
+            prefix.append(min([(join(prefix[i][0], own, 0), prefix[i][1])] + [
+                (join(prefix[f][0], c, m - f), {**prefix[f][1], f: m})
+                for (f, m), c in cost.items() if m == i], key=lambda o: o[0]))
+        return prefix[-1]
+    peak = best(lambda value, c, streamed: max(value, c))[0]
+    return best(lambda value, c, streamed: value + streamed if c <= peak else math.inf)[1]
 
 
 def _run_plan(graph: NetworkGraph, run: list[Layer]):
-    """(steps, store, shapes) of a run of streamed layers and its consumer,
-    run[-1]. Step t makes the consumer's next band of rows (its
+    """(steps, store, shapes, made) of a run of streamed layers and its
+    consumer, run[-1]. Step t makes the consumer's next band of rows (its
     tensor._band_rows); steps[t] is the rows of each run layer made by its
     end, and the first row each buffer keeps during it, the lowest that a
     reader has yet to read. Layer i writes into buffer store[i]: its own, or
     its current's for a shortcut that adds in place; a map made before the
     run is read whole, as its own buffer. shapes[b] is buffer b's (channels,
-    rows, width)."""
+    rows, width); made[i], the most rows of layer i a step makes."""
     m = run[-1].index
     store = {ref: ref for l in run for ref in l.inputs if ref < run[0].index}
     for l in run[:-1]:
@@ -262,7 +263,7 @@ def _run_plan(graph: NetworkGraph, run: list[Layer]):
            if isinstance(l.spec, Convolutional) else (1, 1, 0) for l in run}
     oh = run[-1].out_shape[1]
     band = tensor._band_rows(run[-1].in_channels, geo[m][0], oh, run[-1].out_shape[2])
-    steps, done = [], {l.index: 0 for l in run}
+    steps, done, made = [], {l.index: 0 for l in run}, {}
     for end in range(band, oh + band, band):
         need = {**dict.fromkeys(done, 0), m: min(end, oh)}
         for l in reversed(run):
@@ -274,11 +275,12 @@ def _run_plan(graph: NetworkGraph, run: list[Layer]):
         lows = {b: min([done[b]] + [max(0, done[r.index] * geo[r.index][1] - geo[r.index][2])
                                     for r in rs]) for b, rs in readers.items()}
         rows = {b: max(rows[b], need[b] - lows[b]) for b in rows}
+        made = {i: max(made.get(i, 0), need[i] - done[i]) for i in need}
         steps.append((need, lows))
         done = need
     shapes = {b: (graph.layers[b].out_shape[0], rows[b], graph.layers[b].out_shape[2])
               for b in rows}
-    return steps, store, shapes
+    return steps, store, shapes, made
 
 
 class Plan(NamedTuple):
@@ -296,6 +298,26 @@ class Plan(NamedTuple):
     scratch: list[int]
 
 
+def _plan(graph: NetworkGraph, runs: dict[int, int]) -> Plan:
+    """graph's Plan when forward streams runs ({first layer: consumer})."""
+    steps, live, i = [], [], 0
+    size = {NET_INPUT: math.prod(graph.input_shape) * np.dtype(FLOAT).itemsize}
+    held, rows = size[NET_INPUT], {l.index: l.out_shape[1] for l in graph.layers}
+    while i < len(graph.layers):  # size: each map held
+        run = graph.layers[i:runs.get(i, i) + 1]
+        l, schedule, bufs = run[-1], _run_plan(graph, run) if i in runs else None, 0
+        held += (new := _new_bytes(l))
+        size[l.index] = new or size.pop(l.inputs[0])
+        if schedule:  # a streamed layer's conv calls make the rows of one step
+            bufs = sum(map(math.prod, schedule[2].values())) * np.dtype(FLOAT).itemsize
+            rows.update(schedule[3])
+        steps.append((run, schedule))
+        live += [held + bufs] * len(run)
+        held -= sum(size.pop(ref, 0) for x in run for ref in x.frees)
+        i = l.index + 1
+    return Plan(steps, runs, live, [_scratch(l, rows[l.index]) for l in graph.layers])
+
+
 def _run(run: list[Layer], schedule: tuple, live: dict[int, np.ndarray],
          repeats: dict[int, np.ndarray]) -> np.ndarray:
     """The consumer run[-1]'s output, made by streaming the layers before it
@@ -305,7 +327,7 @@ def _run(run: list[Layer], schedule: tuple, live: dict[int, np.ndarray],
     need; kept rows move to the front before new rows are written after them.
     """
     m = run[-1].index
-    steps, store, shapes = schedule
+    steps, store, shapes, _ = schedule
     bufs = {**{b: live[b] for b in store if b < run[0].index},
             **{b: np.empty(shape, FLOAT) for b, shape in shapes.items()}}
     lo = dict.fromkeys(bufs, 0)  # each buffer's first row

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boxes import BBox, iou_matrix
 from .graph import NetworkGraph, forward
-from .tensor import FLOAT, ShapeError
+from .tensor import FLOAT, LEAKY_SLAB, ShapeError
 
 DEFAULT_CONF_THRESHOLD = 0.25
 DEFAULT_NMS_THRESHOLD = 0.45
@@ -80,21 +80,24 @@ def resize_bilinear(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     (C, out_h, out_w) array, half-pixel convention; returns out.
 
     x is float, or uint8 read as float32 x / 255 (the values
-    imaging.to_chw_float gives). One channel at a time, only the gathered
-    rows are widened, so no float copy of the whole source is made. The
-    float64 result is stored as float32 into out.
+    imaging.to_chw_float gives). It works one channel and one slab of output
+    rows at a time (LEAKY_SLAB elements of the wider row, at least one row),
+    widening only the gathered rows, so its temporaries stay small and no
+    float copy of the source is made. The float64 result is stored as float32.
     """
     c, h, w = x.shape
     _, out_h, out_w = out.shape
     ylo, yhi, yf = _resize_axis_indices(out_h, h)
     xlo, xhi, xf = _resize_axis_indices(out_w, w)
+    step = max(1, LEAKY_SLAB // max(w, out_w))
     for ch in range(c):
-        lo, hi = x[ch, ylo, :], x[ch, yhi, :]
-        if x.dtype == np.uint8:  # to_chw_float's widening, on these rows only
-            lo, hi = (r.astype(np.float32) / np.float32(255) for r in (lo, hi))
-        rows = lo * (1 - yf)[:, None]
-        rows += hi * yf[:, None]
-        out[ch] = rows[:, xlo] * (1 - xf) + rows[:, xhi] * xf
+        for s in (slice(a, a + step) for a in range(0, out_h, step)):
+            lo, hi = x[ch, ylo[s], :], x[ch, yhi[s], :]
+            if x.dtype == np.uint8:  # to_chw_float's widening, on these rows only
+                lo, hi = (r.astype(np.float32) / np.float32(255) for r in (lo, hi))
+            rows = lo * (1 - yf[s])[:, None]
+            rows += hi * yf[s][:, None]
+            out[ch, s] = rows[:, xlo] * (1 - xf) + rows[:, xhi] * xf
     return out
 
 

@@ -526,3 +526,45 @@ def voc_dims_seed(path, class_names=None):
             if img_w > 0 and img_h > 0 and w > 0 and h > 0:
                 out.append((min(w / img_w, 1.0), min(h / img_h, 1.0)))
     return np.array(out, dtype=np.float64).reshape(-1, 2)
+
+
+def runs_oracle(graph):
+    """(lowest modelled peak, fewest streamed layers at that peak, the run
+    sets that reach both) over every set of disjoint runs forward may stream,
+    each costed by a full graph._plan of its own.
+
+    A run is layers f..m-1, each a conv or a shortcut, into a conv m; every
+    layer of f..m-1 is read, and only by layers up to m; each conv of f..m
+    has a float32 map at least as large as its float64 weight block."""
+    from littleyolo.config import Convolutional, Shortcut
+    from littleyolo.graph import _plan
+    from littleyolo.tensor import _filter_block
+
+    layers = graph.layers
+    readers = {l.index: [r.index for r in layers if l.index in r.inputs] for l in layers}
+
+    def fits(l):
+        if not isinstance(l.spec, Convolutional):
+            return isinstance(l.spec, Shortcut)
+        depth = l.in_channels * l.spec.size ** 2
+        return 4 * np.prod(l.out_shape) >= 8 * _filter_block(l.spec.filters, depth) * depth
+
+    runs = [(f, m) for f in range(len(layers)) for m in range(f + 1, len(layers))
+            if isinstance(layers[m].spec, Convolutional)
+            and all(fits(l) for l in layers[f:m + 1])
+            and all(readers[i] and max(readers[i]) <= m for i in range(f, m))]
+
+    def sets(start):
+        yield {}
+        for f, m in runs:
+            if f >= start:
+                for rest in sets(m + 1):
+                    yield {f: m, **rest}
+
+    costs = []
+    for chosen in sets(0):
+        plan = _plan(graph, chosen)
+        costs.append((max(a + b for a, b in zip(plan.live, plan.scratch)),
+                      sum(m - f for f, m in chosen.items()), chosen))
+    best = min(c[:2] for c in costs)
+    return (*best, [c[2] for c in costs if c[:2] == best])

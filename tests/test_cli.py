@@ -19,6 +19,7 @@ from littleyolo.graph import build_graph
 from littleyolo.imaging import encode_ppm
 from littleyolo.weights import init_random, save_weights_file
 from test_anchors import write_voc
+from test_graph import MIXED_CFG
 
 
 @pytest.fixture
@@ -72,15 +73,22 @@ class TestInfo:
         code, out, _ = run_cli(capsys, "info", "--size", "640")
         assert code == 0
         assert "21 x 20 x 20" in out and "21 x 40 x 40" in out
-        # layers 0-3 and 6-7 are streamed; while layer 6 runs, layers 4 and
-        # 5, layer 6's buffer and layer 8's output; layer 8's conv buffers
-        assert ("live maps: at most 18.27 MB, while layer 6 runs; with conv2d's "
-                "scratch, 30.54 MB, while layer 8 runs") in out
-        assert "streams: layers 0-3 into 4, 6-7 into 8\n" in out
+        # layers 0-3 and 5-7 are streamed; while route 21 runs, layer 14
+        # (read by route 29), layers 16, 17, 19 and 20 and their 4096-channel
+        # concat; layer 22's conv buffers, the 1x1 conv over that concat
+        assert ("live maps: at most 14.75 MB, while layer 21 runs; with conv2d's "
+                "scratch, 25.35 MB, while layer 22 runs") in out
+        assert "streams: layers 0-3 into 4, 5-7 into 8\n" in out
 
     def test_no_runs(self, capsys, tiny_setup):
-        code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"])
+        # MIXED_CFG has no run that may stream; TINY_CFG streams its first
+        # two convs into the third
+        cfg = tiny_setup["dir"] / "mixed.cfg"
+        cfg.write_text(MIXED_CFG)
+        code, out, _ = run_cli(capsys, "info", "--cfg", str(cfg))
         assert code == 0 and "streams: none\n" in out
+        code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"])
+        assert code == 0 and "streams: layers 0-1 into 2\n" in out
 
     def test_weights_report(self, capsys, tiny_setup):
         code, out, _ = run_cli(capsys, "info", "--cfg", tiny_setup["cfg"],
